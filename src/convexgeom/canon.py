@@ -6,8 +6,6 @@ search over cell-respecting permutations picks the lexicographically least
 adjacency encoding.  Equal byte strings <=> isomorphic graphs.
 """
 
-from functools import lru_cache
-
 from .errors import CapacityError
 from .graphs import EXPONENTIAL_GUARD, Graph, bit, iter_bits
 
@@ -33,7 +31,6 @@ def _cells(colors):
     return [by_color[c] for c in sorted(by_color)]
 
 
-@lru_cache(maxsize=1 << 16)
 def canonical_form(g):
     """Canonical byte string; equal strings iff isomorphic.  Guarded at n <= 12."""
     if g.n > EXPONENTIAL_GUARD:

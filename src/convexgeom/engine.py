@@ -1,18 +1,27 @@
 """Hull computation, convex-set enumeration, and the convex-geometry tests.
 
-Closure-rule convexities (fFree, p4plus) have no interval oracle; their
-single expansion step fires precomputed trigger rules instead.  Both
-geometry tests scan subsets in ascending bitmask order, so reports are
-deterministic for a fixed graph labeling.
+Everything here follows one expansion step E: S plus the intervals of its
+pairs, or for the closure-rule convexities (fFree, p4plus), which have no
+interval oracle, S plus whatever precomputed trigger rules S fires.  A hull
+is the fixpoint reached by repeating E, and S is convex iff E(S) = S.
+
+For n <= EXPONENTIAL_GUARD (12), E is one cached table indexed by vertex
+subset, built in O(2^n) for interval kinds and O(n 2^n) for closure kinds;
+the subset scans (convex sets, MKM, antiexchange) read only that table.
+Above the guard no table is built and the single-set queries (hull,
+is_convex, expand_once, extreme_vertices) compute E per query instead, with
+the same answers.  Both geometry tests scan subsets in ascending bitmask
+order, so reports are deterministic for a fixed graph labeling.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import or_
 
 from .errors import CapacityError
 from .graphs import EXPONENTIAL_GUARD, bit, iter_bits, vertices_of
 from .patterns import P4, all_induced_occurrences, iter_induced_embeddings
-from .walks import CLOSURE_KINDS, interval_table
+from .walks import CLOSURE_KINDS, interval_of_set, interval_table
 
 
 @lru_cache(maxsize=1 << 12)
@@ -41,74 +50,127 @@ def closure_rules(g, spec):
     return tuple(sorted(rules.items()))
 
 
-def _expander(g, spec):
-    """One-step interval/closure operator as a mask -> mask function."""
+def _interval_expansion(g, spec):
+    """E[s] = E[s-a] | E[s-b] | I(a,b) for the two lowest members a < b of s:
+    every pair inside s misses a, misses b, or is {a, b}.  Filled by lowest
+    member a descending, then by second lowest b descending, so both
+    right-hand entries are already final; one slice per (a, b) covers every
+    s = a + b + (members above b)."""
+    n = g.n
+    t = interval_table(g, spec)
+    e = list(range(1 << n))
+    for a in range(n - 1, -1, -1):
+        ba = 1 << a
+        for b in range(n - 1, a, -1):
+            bb = 1 << b
+            iab = t[a * n + b]
+            stride = bb << 1
+            e[ba | bb::stride] = [x | y | iab for x, y in
+                                  zip(e[bb::stride], e[ba::stride])]
+    return e
+
+
+def _closure_expansion(g, spec):
+    """Scatter every rule at its trigger, then take the subset-OR zeta
+    transform, so that z[s] is the union over triggers inside s (Bjorklund,
+    Husfeldt, Kaski and Koivisto, "Fourier meets Mobius", STOC 2007).  The
+    pass for bit i ORs z[s - i] into z[s] for all s containing i, as
+    whichever is fewer: slices of stride 2i or contiguous blocks."""
+    size = 1 << g.n
+    z = [0] * size
+    for trigger, added in closure_rules(g, spec):
+        z[trigger] |= added
+    for i in range(g.n):
+        low = 1 << i
+        stride = low << 1
+        if low * low < size:
+            for j in range(low, stride):
+                z[j::stride] = map(or_, z[j::stride], z[j - low::stride])
+        else:
+            for j in range(low, size, stride):
+                z[j:j + low] = map(or_, z[j:j + low], z[j - low:j])
+    return map(or_, range(size), z)
+
+
+@lru_cache(maxsize=4)
+def expansion_table(g, spec):
+    """The one-step expansion E[s] for every vertex subset s, as a tuple of
+    length 2^n.  Refuses n above the guard."""
+    if g.n > EXPONENTIAL_GUARD:
+        raise CapacityError(
+            f"subset scan over {g.n} vertices exceeds the n <= {EXPONENTIAL_GUARD} guard")
     if spec.kind in CLOSURE_KINDS:
-        rules = closure_rules(g, spec)
-
-        def expand(s):
-            out = s
-            for trigger, added in rules:
-                if trigger & ~s == 0:
-                    out |= added
-            return out
-    else:
-        t = interval_table(g, spec)
-        n = g.n
-
-        def expand(s):
-            out = s
-            vs = list(iter_bits(s))
-            for i, u in enumerate(vs):
-                row = u * n
-                for v in vs[i + 1:]:
-                    out |= t[row + v]
-            return out
-    return expand
+        return tuple(_closure_expansion(g, spec))
+    return tuple(_interval_expansion(g, spec))
 
 
-def expand_once(g, spec, s):
-    return _expander(g, spec)(s)
+def _step(g, spec, s):
+    """The expansion step as a mask -> mask function, after checking that s
+    is a vertex set of g.  Only g.n selects between the table and the step
+    computed per query."""
+    if s < 0 or s & ~g.vertex_set():
+        raise ValueError(f"vertex set {s:#x} is not a subset of the {g.n} vertices")
+    if g.n <= EXPONENTIAL_GUARD:
+        return expansion_table(g, spec).__getitem__
+    if spec.kind not in CLOSURE_KINDS:
+        return partial(interval_of_set, g, spec)
+    rules = closure_rules(g, spec)
+
+    def fire(s):
+        out = s
+        for trigger, added in rules:
+            if trigger & ~s == 0:
+                out |= added
+        return out
+    return fire
 
 
-def is_convex(g, spec, s):
-    return _expander(g, spec)(s) == s
-
-
-def hull(g, spec, s):
-    """Least fixpoint of the expansion step above s."""
-    expand = _expander(g, spec)
+def _fixpoint(step, s):
+    """Follow the expansion step from s until it stops growing."""
     while True:
-        t = expand(s)
+        t = step(s)
         if t == s:
             return s
         s = t
 
 
-def extreme_vertices(g, spec, s):
-    """Vertices x of convex s with s minus x still convex; s must be convex."""
-    expand = _expander(g, spec)
-    if expand(s) != s:
-        raise ValueError("extreme_vertices requires a convex set")
+def _extremes(step, s):
+    """Members x of s with s minus x still a fixpoint of step."""
     out = 0
-    for x in iter_bits(s):
-        t = s & ~bit(x)
-        if expand(t) == t:
-            out |= bit(x)
+    rest = s
+    while rest:
+        low = rest & -rest
+        t = s ^ low
+        if step(t) == t:
+            out |= low
+        rest ^= low
     return out
 
 
-def _check_guard(g):
-    if g.n > EXPONENTIAL_GUARD:
-        raise CapacityError(
-            f"subset scan over {g.n} vertices exceeds the n <= {EXPONENTIAL_GUARD} guard")
+def expand_once(g, spec, s):
+    return _step(g, spec, s)(s)
+
+
+def is_convex(g, spec, s):
+    return _step(g, spec, s)(s) == s
+
+
+def hull(g, spec, s):
+    """Least fixpoint of the expansion step above s."""
+    return _fixpoint(_step(g, spec, s), s)
+
+
+def extreme_vertices(g, spec, s):
+    """Vertices x of convex s with s minus x still convex; s must be convex."""
+    step = _step(g, spec, s)
+    if step(s) != s:
+        raise ValueError("extreme_vertices requires a convex set")
+    return _extremes(step, s)
 
 
 def all_convex_sets(g, spec):
     """All fixpoints of the expansion step, ascending by bitmask."""
-    _check_guard(g)
-    expand = _expander(g, spec)
-    return [s for s in range(1 << g.n) if expand(s) == s]
+    return [s for s, t in enumerate(expansion_table(g, spec)) if s == t]
 
 
 @dataclass(frozen=True)
@@ -147,22 +209,13 @@ class GeometryReport:
 def is_convex_geometry_mkm(g, spec):
     """Every convex set must equal the hull of its extreme vertices; reports
     the first (ascending mask order) violating convex set otherwise."""
-    _check_guard(g)
-    expand = _expander(g, spec)
-    for s in range(1 << g.n):
-        if expand(s) != s:
+    e = expansion_table(g, spec)
+    step = e.__getitem__
+    for s, t in enumerate(e):
+        if t != s:
             continue
-        ext = 0
-        for x in iter_bits(s):
-            t = s & ~bit(x)
-            if expand(t) == t:
-                ext |= bit(x)
-        h = ext
-        while True:
-            t = expand(h)
-            if t == h:
-                break
-            h = t
+        ext = _extremes(step, s)
+        h = _fixpoint(step, ext)
         if h != s:
             return GeometryReport(False, "mkm", violating_set=s,
                                   extremes=ext, hull_of_extremes=h)
@@ -172,32 +225,17 @@ def is_convex_geometry_mkm(g, spec):
 def satisfies_antiexchange(g, spec):
     """For convex S and distinct x,y outside S, x in H(S+y) and y in H(S+x)
     must not both hold; reports the first witness otherwise."""
-    _check_guard(g)
-    expand = _expander(g, spec)
-    hulls = {}
-
-    def hull_of(s):
-        h = hulls.get(s)
-        if h is None:
-            h = s
-            while True:
-                t = expand(h)
-                if t == h:
-                    break
-                h = t
-            hulls[s] = h
-        return h
-
+    e = expansion_table(g, spec)
+    step = e.__getitem__
     full = g.vertex_set()
-    for s in range(1 << g.n):
-        if expand(s) != s:
+    for s, t in enumerate(e):
+        if t != s:
             continue
-        outside = list(iter_bits(full & ~s))
-        for i, x in enumerate(outside):
-            bx = bit(x)
-            for y in outside[i + 1:]:
-                by = bit(y)
-                if hull_of(s | by) & bx and hull_of(s | bx) & by:
+        grown = [(x, bit(x), _fixpoint(step, s | bit(x)))
+                 for x in iter_bits(full & ~s)]
+        for i, (x, bx, hx) in enumerate(grown):
+            for y, by, hy in grown[i + 1:]:
+                if hy & bx and hx & by:
                     return GeometryReport(False, "antiexchange",
                                           antiexchange_witness=(s, x, y))
     return GeometryReport(True, "antiexchange")

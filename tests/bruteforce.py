@@ -3,12 +3,18 @@
 Everything here is a literal transcription of a definition: permutation
 isomorphism, explicit path and walk enumeration, subset scans.  No shortcuts,
 no shared code with the library beyond the Graph container, tiny sizes only.
+The one exception is the scan oracle at the bottom, which starts from the
+library's interval tables and closure rules (checked against the literal
+definitions above elsewhere) to test the expansion table and the geometry
+scans built on top of them.
 """
 
 import math
 from itertools import combinations, permutations
 
+from convexgeom.engine import GeometryReport, closure_rules
 from convexgeom.graphs import bit, induced_subgraph, iter_bits, mask_of
+from convexgeom.walks import CLOSURE_KINDS, interval_table
 
 
 def naive_is_isomorphic(g, h):
@@ -298,3 +304,89 @@ def naive_asteroidal_triple(g):
         if linked(a, b, c) and linked(a, c, b) and linked(b, c, a):
             return (a, b, c)
     return None
+
+
+# --- scan oracle ------------------------------------------------------------
+#
+# The per-query expansion step and the two geometry scans as they stood before
+# the expansion table: pairwise interval unions and rule firing recomputed for
+# every subset, hulls by repeated expansion.
+
+
+def naive_expander(g, spec):
+    """One-step interval/closure operator as a mask -> mask function."""
+    if spec.kind in CLOSURE_KINDS:
+        rules = closure_rules(g, spec)
+
+        def expand(s):
+            out = s
+            for trigger, added in rules:
+                if trigger & ~s == 0:
+                    out |= added
+            return out
+    else:
+        t = interval_table(g, spec)
+        n = g.n
+
+        def expand(s):
+            out = s
+            vs = list(iter_bits(s))
+            for i, u in enumerate(vs):
+                row = u * n
+                for v in vs[i + 1:]:
+                    out |= t[row + v]
+            return out
+    return expand
+
+
+def naive_mkm(g, spec):
+    expand = naive_expander(g, spec)
+    for s in range(1 << g.n):
+        if expand(s) != s:
+            continue
+        ext = 0
+        for x in iter_bits(s):
+            t = s & ~bit(x)
+            if expand(t) == t:
+                ext |= bit(x)
+        h = ext
+        while True:
+            t = expand(h)
+            if t == h:
+                break
+            h = t
+        if h != s:
+            return GeometryReport(False, "mkm", violating_set=s,
+                                  extremes=ext, hull_of_extremes=h)
+    return GeometryReport(True, "mkm")
+
+
+def naive_antiexchange(g, spec):
+    expand = naive_expander(g, spec)
+    hulls = {}
+
+    def hull_of(s):
+        h = hulls.get(s)
+        if h is None:
+            h = s
+            while True:
+                t = expand(h)
+                if t == h:
+                    break
+                h = t
+            hulls[s] = h
+        return h
+
+    full = g.vertex_set()
+    for s in range(1 << g.n):
+        if expand(s) != s:
+            continue
+        outside = list(iter_bits(full & ~s))
+        for i, x in enumerate(outside):
+            bx = bit(x)
+            for y in outside[i + 1:]:
+                by = bit(y)
+                if hull_of(s | by) & bx and hull_of(s | bx) & by:
+                    return GeometryReport(False, "antiexchange",
+                                          antiexchange_witness=(s, x, y))
+    return GeometryReport(True, "antiexchange")

@@ -3,9 +3,12 @@ import random
 import pytest
 
 from bruteforce import (
+    naive_antiexchange,
     naive_convex,
+    naive_expander,
     naive_ffree_convex,
     naive_hull,
+    naive_mkm,
     naive_p4plus_convex,
 )
 from convexgeom.engine import (
@@ -13,6 +16,7 @@ from convexgeom.engine import (
     all_convex_sets,
     closure_rules,
     expand_once,
+    expansion_table,
     extreme_vertices,
     hull,
     is_convex,
@@ -22,7 +26,7 @@ from convexgeom.engine import (
 from convexgeom.enumeration import connected_graphs, connected_graphs_upto
 from convexgeom.errors import CapacityError
 from convexgeom.fixtures import GEM_FIXTURE, SEVEN_FIXTURE, delete_vertex
-from convexgeom.graphs import Graph, bit, mask_of
+from convexgeom.graphs import EXPONENTIAL_GUARD, Graph, bit, mask_of
 from convexgeom.patterns import CLAW, K3, P4, cycle_graph, path_graph, star_graph
 from convexgeom.recognizers import semisimplicial_vertices, simplicial_vertices
 from convexgeom.walks import (
@@ -282,6 +286,8 @@ def test_extremes_of_v_match_vertex_types():
 def test_capacity_guard():
     big = Graph(13, (0,) * 13)
     with pytest.raises(CapacityError):
+        expansion_table(big, geodetic())
+    with pytest.raises(CapacityError):
         all_convex_sets(big, geodetic())
     with pytest.raises(CapacityError):
         is_convex_geometry_mkm(big, geodetic())
@@ -299,3 +305,50 @@ def test_geometry_report_to_dict():
     ae = GeometryReport(False, "antiexchange", antiexchange_witness=(0b100, 0, 1))
     named_ae = ae.to_dict(labels=["a", "b", "c"])
     assert named_ae["antiexchange_witness"] == {"set": ["c"], "x": "a", "y": "b"}
+
+
+def test_expansion_table_matches_scan_oracle_exhaustive():
+    for g in connected_graphs_upto(7):
+        for spec in all_kinds(g.n) + [lk(4), lk(5)]:
+            table = expansion_table(g, spec)
+            expand = naive_expander(g, spec)
+            assert len(table) == 1 << g.n
+            for s, t in enumerate(table):
+                assert t == expand(s), (g, spec.name, s)
+            assert is_convex_geometry_mkm(g, spec) == naive_mkm(g, spec), (g, spec.name)
+            assert satisfies_antiexchange(g, spec) == naive_antiexchange(g, spec), \
+                (g, spec.name)
+
+
+def padded(g, n):
+    """g plus isolated vertices up to n vertices."""
+    return Graph(n, g.adj + (0,) * (n - g.n))
+
+
+def test_per_query_path_above_guard_matches_table():
+    # isolated vertices lie on no path or walk between the original vertices
+    # and in no occurrence of a connected pattern, so every answer on a subset
+    # of the original vertices must carry over unchanged
+    n = EXPONENTIAL_GUARD + 1
+    for g in connected_graphs_upto(5):
+        big = padded(g, n)
+        for spec in all_kinds(n):
+            table = expansion_table(g, spec)
+            for s in range(1 << g.n):
+                assert expand_once(big, spec, s) == table[s], (g, spec.name, s)
+                assert hull(big, spec, s) == hull(g, spec, s), (g, spec.name, s)
+                convex = table[s] == s
+                assert is_convex(big, spec, s) == convex
+                if convex:
+                    assert extreme_vertices(big, spec, s) == \
+                        extreme_vertices(g, spec, s), (g, spec.name, s)
+
+
+@pytest.mark.parametrize("fn", [expand_once, is_convex, hull, extreme_vertices])
+@pytest.mark.parametrize("n", [3, EXPONENTIAL_GUARD + 1])
+def test_single_set_queries_reject_foreign_masks(fn, n):
+    g = padded(path_graph(3), n)
+    for spec in (geodetic(), p4plus()):
+        for bad in (-1, -8, 1 << n, (1 << n) | 1):
+            with pytest.raises(ValueError):
+                fn(g, spec, bad)
