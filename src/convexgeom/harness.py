@@ -165,17 +165,22 @@ def _evaluate_theorem(entry, g):
     return geo, cls, cert
 
 
-def _theorem_chunk(ident, g6_chunk):
+def _theorem_chunk(ident, graphs):
     entry = resolve_theorem(ident)
     geo_count = cls_count = 0
     certs = []
-    for g6 in g6_chunk:
-        geo, cls, cert = _evaluate_theorem(entry, parse_graph6(g6))
+    for g in graphs:
+        geo, cls, cert = _evaluate_theorem(entry, g)
         geo_count += geo
         cls_count += cls
         if cert is not None:
             certs.append(cert)
     return geo_count, cls_count, certs
+
+
+def _theorem_chunk_g6(ident, g6_chunk):
+    """Worker-process entry: graphs cross the process boundary as graph6."""
+    return _theorem_chunk(ident, map(parse_graph6, g6_chunk))
 
 
 def verify_theorem(ident, n_max=None, jobs=1, graphs=None):
@@ -191,13 +196,13 @@ def verify_theorem(ident, n_max=None, jobs=1, graphs=None):
         if n_max is None:
             n_max = max((g.n for g in graphs), default=0)
     result = VerifyResult(ident, n_max, len(graphs), 0, 0)
-    stream = [emit_graph6(g) for g in graphs]
-    if jobs > 1 and len(stream) > 1:
+    if jobs > 1 and len(graphs) > 1:
+        stream = [emit_graph6(g) for g in graphs]
         chunks = [stream[i::jobs] for i in range(jobs) if stream[i::jobs]]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(partial(_theorem_chunk, ident), chunks))
+            parts = list(pool.map(partial(_theorem_chunk_g6, ident), chunks))
     else:
-        parts = [_theorem_chunk(ident, stream)]
+        parts = [_theorem_chunk(ident, graphs)]
     for geo_count, cls_count, certs in parts:
         result.geometries += geo_count
         result.class_members += cls_count

@@ -168,6 +168,9 @@ def interval(g, spec, u, v):
 
 def interval_of_set(g, spec, members):
     """I(S): union of pairwise intervals, containing S itself."""
+    if members < 0 or members & ~g.vertex_set():
+        raise ValueError(
+            f"vertex set {members:#x} is not a subset of the {g.n} vertices")
     t = interval_table(g, spec)
     n = g.n
     out = members

@@ -3,17 +3,21 @@
 Everything here is a literal transcription of a definition: permutation
 isomorphism, explicit path and walk enumeration, subset scans.  No shortcuts,
 no shared code with the library beyond the Graph container, tiny sizes only.
-The one exception is the scan oracle at the bottom, which starts from the
-library's interval tables and closure rules (checked against the literal
-definitions above elsewhere) to test the expansion table and the geometry
-scans built on top of them.
+The exceptions are the two oracles at the bottom.  The scan oracle starts
+from the library's interval tables and closure rules (checked against the
+literal definitions above elsewhere) to test the expansion table and the
+geometry scans built on top of them.  The enumeration oracle deduplicates
+every one-vertex extension by the library's canonical form (checked against
+permutation isomorphism elsewhere) to test the enumerator's deletion rule.
 """
 
 import math
+from functools import lru_cache
 from itertools import combinations, permutations
 
+from convexgeom.canon import canonical_form, decode_canonical_form
 from convexgeom.engine import GeometryReport, closure_rules
-from convexgeom.graphs import bit, induced_subgraph, iter_bits, mask_of
+from convexgeom.graphs import Graph, bit, induced_subgraph, iter_bits, mask_of
 from convexgeom.walks import CLOSURE_KINDS, interval_table
 
 
@@ -390,3 +394,21 @@ def naive_antiexchange(g, spec):
                     return GeometryReport(False, "antiexchange",
                                           antiexchange_witness=(s, x, y))
     return GeometryReport(True, "antiexchange")
+
+
+# --- enumeration oracle -----------------------------------------------------
+#
+# The enumerator as it stood before its deletion rule: every nonempty
+# neighbor set of a new vertex on every parent, deduplicated by canonical form.
+
+
+@lru_cache(maxsize=None)
+def naive_canonical_keys(n):
+    if n == 1:
+        return (canonical_form(Graph(1, (0,))),)
+    keys = set()
+    for parent_key in naive_canonical_keys(n - 1):
+        parent = decode_canonical_form(parent_key)
+        for nbrs in range(1, 1 << (n - 1)):
+            keys.add(canonical_form(parent.with_new_vertex(nbrs)))
+    return tuple(sorted(keys))

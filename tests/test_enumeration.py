@@ -1,16 +1,20 @@
+import networkx as nx
 import pytest
 
-from bruteforce import naive_is_isomorphic
+from bruteforce import naive_canonical_keys, naive_is_isomorphic
 from convexgeom.canon import canonical_form
 from convexgeom.enumeration import (
     CONNECTED_COUNTS,
     ENUMERATION_LIMIT,
+    _canonical_keys,
+    _passes_deletion_rule,
     connected_graphs,
     connected_graphs_upto,
 )
 from convexgeom.errors import CapacityError
-from convexgeom.graphs import is_connected
+from convexgeom.graphs import Graph, is_connected
 from convexgeom.patterns import complete_graph, cycle_graph, path_graph
+from convexgeom.recognizers import is_bipartite, is_chordal, is_cograph, is_forest
 from test_graphs import labeled_graphs
 
 
@@ -69,3 +73,53 @@ def test_enumeration_guard():
         connected_graphs(0)
     with pytest.raises(CapacityError):
         connected_graphs(10)
+
+
+def _adj(n, edges):
+    return list(Graph.from_edge_list(n, edges).adj)
+
+
+def test_deletion_rule_examples():
+    # new vertex 3 joined to all of the path 0-1-2: the leaf 0 has lower
+    # degree and is not a cut vertex
+    assert not _passes_deletion_rule(_adj(4, [(0, 1), (1, 2), (3, 0), (3, 1), (3, 2)]))
+    # new vertex 3 closes the 4-cycle: no vertex has lower degree
+    assert _passes_deletion_rule(_adj(4, [(0, 1), (1, 2), (3, 0), (3, 2)]))
+    # two 4-cliques joined through vertex 4: the only vertex of lower degree
+    # than the new vertex 8 is a cut vertex
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    edges = k4 + [(a + 5, b + 5) for a, b in k4] + [(3, 4), (4, 5)]
+    assert _passes_deletion_rule(_adj(9, edges))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_deletion_rule_keeps_every_class(n):
+    assert _canonical_keys(n) == naive_canonical_keys(n)
+
+
+def test_matches_networkx_atlas():
+    atlas = {}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n and nx.is_connected(h):
+            g = Graph.from_edge_list(n, h.edges())
+            atlas.setdefault(n, set()).add(canonical_form(g))
+    assert sorted(atlas) == list(range(1, 8))
+    for n, forms in atlas.items():
+        assert forms == set(_canonical_keys(n))
+
+
+# connected members per order n = 1..8, from OEIS
+OEIS_CLASS_COUNTS = [
+    (is_forest, [1, 1, 1, 2, 3, 6, 11, 23]),             # A000055 trees
+    (is_chordal, [1, 1, 2, 5, 15, 58, 272, 1614]),       # A058862
+    (is_cograph, [1, 1, 2, 5, 12, 33, 90, 261]),         # A000669
+    (is_bipartite, [1, 1, 1, 3, 5, 17, 44, 182]),        # A005142
+]
+
+
+@pytest.mark.parametrize("check, counts", OEIS_CLASS_COUNTS,
+                         ids=[c.__name__ for c, _ in OEIS_CLASS_COUNTS])
+def test_class_counts_match_oeis(check, counts):
+    assert [sum(1 for g in connected_graphs(n) if check(g))
+            for n in range(1, 9)] == counts

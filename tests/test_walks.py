@@ -290,6 +290,14 @@ def test_interval_of_set_basics():
         assert s & ~small == 0
 
 
+@pytest.mark.parametrize("bad", [-1, -8, 1 << 5, (1 << 5) | 1])
+def test_interval_of_set_rejects_foreign_masks(bad):
+    g = path_graph(5)
+    for spec in (geodetic(), strong()):
+        with pytest.raises(ValueError):
+            interval_of_set(g, spec, bad)
+
+
 def test_interval_of_set_monotone_all_kinds():
     rng = random.Random(79)
     g = cycle_graph(6)
