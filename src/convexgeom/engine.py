@@ -15,39 +15,52 @@ order, so reports are deterministic for a fixed graph labeling.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import or_
 
 from .errors import CapacityError
-from .graphs import EXPONENTIAL_GUARD, bit, iter_bits, vertices_of
-from .patterns import P4, all_induced_occurrences, iter_induced_embeddings
-from .walks import CLOSURE_KINDS, interval_of_set, interval_table
+from .graphs import (EXPONENTIAL_GUARD, bit, is_connected, iter_bits,
+                     vertices_of)
+from .patterns import all_induced_occurrences, induced_cycles, induced_p4s
+from .walks import CLOSURE_KINDS, interval_step, interval_table
 
 
 @lru_cache(maxsize=1 << 12)
 def closure_rules(g, spec):
     """Merged (trigger_mask, added_mask) pairs; x joins S once some trigger
-    lies inside S."""
+    lies inside S.  P4 rules come from induced_p4s; family members that are
+    cycles share one induced_cycles pass, other members use the embedding
+    search."""
     rules = {}
 
     def add_rule(trigger, x):
         rules[trigger] = rules.get(trigger, 0) | bit(x)
 
     if spec.kind == "p4plus":
-        seen = set()
-        for e in iter_induced_embeddings(g, P4):
-            a, b, c, d = e
-            if (d, c, b, a) in seen:
-                continue
-            seen.add((a, b, c, d))
+        for a, b, c, d in induced_p4s(g):
             add_rule(bit(a) | bit(b) | bit(d), c)
             add_rule(bit(a) | bit(c) | bit(d), b)
     else:
+        lengths = set()
+        occurrences = []
         for h in spec.family:
-            for occ in all_induced_occurrences(g, h):
-                for x in iter_bits(occ):
-                    add_rule(occ & ~bit(x), x)
+            if _is_cycle(h):
+                lengths.add(h.n)
+            else:
+                occurrences += all_induced_occurrences(g, h)
+        if lengths:
+            occurrences += [occ for occ in induced_cycles(g, min(lengths), max(lengths))
+                            if occ.bit_count() in lengths]
+        for occ in occurrences:
+            for x in iter_bits(occ):
+                add_rule(occ & ~bit(x), x)
     return tuple(sorted(rules.items()))
+
+
+def _is_cycle(h):
+    """Connected and 2-regular: the family members induced_cycles serves."""
+    return (h.n >= 3 and all(h.degree(v) == 2 for v in range(h.n))
+            and is_connected(h))
 
 
 def _interval_expansion(g, spec):
@@ -106,14 +119,15 @@ def expansion_table(g, spec):
 
 def _step(g, spec, s):
     """The expansion step as a mask -> mask function, after checking that s
-    is a vertex set of g.  Only g.n selects between the table and the step
+    is a vertex set of g; the step itself checks nothing, so a fixpoint
+    validates once.  Only g.n selects between the table and the step
     computed per query."""
     if s < 0 or s & ~g.vertex_set():
         raise ValueError(f"vertex set {s:#x} is not a subset of the {g.n} vertices")
     if g.n <= EXPONENTIAL_GUARD:
         return expansion_table(g, spec).__getitem__
     if spec.kind not in CLOSURE_KINDS:
-        return partial(interval_of_set, g, spec)
+        return interval_step(g, spec)
     rules = closure_rules(g, spec)
 
     def fire(s):

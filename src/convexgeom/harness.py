@@ -11,7 +11,7 @@ be re-verified from scratch.
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 from .engine import (GeometryReport, all_convex_sets, extreme_vertices, hull,
                      is_convex_geometry_mkm, satisfies_antiexchange)
@@ -77,6 +77,7 @@ def _const(spec):
     return lambda n: spec
 
 
+@lru_cache(maxsize=None)
 def _odd_cycle_spec(n):
     family = tuple(odd_cycle_family(n))
     return f_free(family) if family else None
@@ -178,11 +179,6 @@ def _theorem_chunk(ident, graphs):
     return geo_count, cls_count, certs
 
 
-def _theorem_chunk_g6(ident, g6_chunk):
-    """Worker-process entry: graphs cross the process boundary as graph6."""
-    return _theorem_chunk(ident, map(parse_graph6, g6_chunk))
-
-
 def verify_theorem(ident, n_max=None, jobs=1, graphs=None):
     """Check one theorem entry over all connected graphs up to n_max vertices
     (or an explicit graph list) and collect violation certificates."""
@@ -197,10 +193,9 @@ def verify_theorem(ident, n_max=None, jobs=1, graphs=None):
             n_max = max((g.n for g in graphs), default=0)
     result = VerifyResult(ident, n_max, len(graphs), 0, 0)
     if jobs > 1 and len(graphs) > 1:
-        stream = [emit_graph6(g) for g in graphs]
-        chunks = [stream[i::jobs] for i in range(jobs) if stream[i::jobs]]
+        chunks = [graphs[i::jobs] for i in range(jobs) if graphs[i::jobs]]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(partial(_theorem_chunk_g6, ident), chunks))
+            parts = list(pool.map(partial(_theorem_chunk, ident), chunks))
     else:
         parts = [_theorem_chunk(ident, graphs)]
     for geo_count, cls_count, certs in parts:

@@ -1,4 +1,5 @@
-"""Named pattern graphs and induced-subgraph search.
+"""Named pattern graphs, induced-subgraph search, and direct enumerators of
+induced cycles and induced P4s.
 
 Fixed labelings, used throughout recognizers and closure rules:
 
@@ -7,6 +8,20 @@ Fixed labelings, used throughout recognizers and closure rules:
   domino  a=0..f=5; edges ab, bc, cd, ad, ce, ef, df (two squares sharing cd)
   A       domino minus the edge ef
   claw    K_{1,3}: center a=0, leaves b=1, c=2, d=3
+
+The embedding search (iter_induced_embeddings and the functions over it)
+finds each copy of a pattern once per automorphism.  For cycles and P4s two
+enumerators yield each copy once instead: induced_cycles (a rooted
+chordless-path search, after Uno and Satoh, "An efficient algorithm for
+enumerating chordless cycles and chordless paths", DS 2014) and induced_p4s.
+So that no characterization checks one enumerator against itself, each
+theorem sends at most one of its sides through them:
+
+  theorem    geometry side                  class side
+  C-BIP      induced_cycles (odd lengths)   BFS 2-colouring
+  T-M3       m3 path table                  induced_cycles (holes, C4s)
+  T-FFREE    induced_cycles (K3 rules)      contains_induced
+  C-P4PLUS   induced_p4s                    contains_induced(g, P4)
 """
 
 from functools import lru_cache
@@ -190,3 +205,44 @@ def iter_induced_embeddings(g, p):
             image[q] = None
 
     yield from extend(0, 0)
+
+
+def induced_cycles(g, min_len=3, max_len=None):
+    """Vertex masks of the induced cycles of g with min_len..max_len vertices,
+    each once, ascending.  A cycle is grown from its least vertex r as an
+    induced path over vertices above r: a vertex is banned once it neighbours
+    an interior path vertex, and the path closes on the first vertex that
+    neighbours r, counted only when it exceeds the second vertex."""
+    max_len = g.n if max_len is None else max_len
+    adj = g.adj
+    out = []
+
+    def grow(last, path, ban, size):
+        step = adj[last] & above & ~path & ~ban
+        if min_len <= size + 1 <= max_len:
+            for w in iter_bits(step & closers):
+                out.append(path | bit(w))
+        if size + 2 <= max_len:
+            for w in iter_bits(step & ~ring):
+                grow(w, path | bit(w), ban | adj[last], size + 1)
+
+    for r in range(g.n):
+        above = g.vertex_set() & ~((2 << r) - 1)
+        ring = adj[r] & above
+        for s in iter_bits(ring):
+            closers = ring & ~((2 << s) - 1)
+            grow(s, bit(r) | bit(s), 0, 2)
+    return sorted(out)
+
+
+def induced_p4s(g):
+    """Every induced P4 (a, b, c, d) of g once, as the path a-b-c-d with
+    b < c: a middle edge b-c, then a in N(b) - N[c] and d in N(c) - N[b]
+    with a and d nonadjacent."""
+    adj = g.adj
+    for b in range(g.n):
+        for c in iter_bits(adj[b] & ~((2 << b) - 1)):
+            ends = adj[c] & ~adj[b] & ~bit(b)
+            for a in iter_bits(adj[b] & ~adj[c] & ~bit(c)):
+                for d in iter_bits(ends & ~adj[a]):
+                    yield a, b, c, d

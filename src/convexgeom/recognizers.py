@@ -2,15 +2,17 @@
 
 Each class check works from first principles (elimination orderings, pattern
 search, reachability), so the verification harness can use these verdicts as
-the opposite side of each characterization without circularity.
+the opposite side of each characterization without circularity.  Weak
+polarizability reads its holes and its house, domino and A patterns off
+patterns.induced_cycles, which no geometry side of T-M3 uses; cographs stay
+on the embedding search, because C-P4PLUS's geometry side uses induced_p4s.
 """
 
 from itertools import combinations
 
 from .errors import CapacityError
 from .graphs import bit, component_of, components, diameter, iter_bits
-from .patterns import (A_GRAPH, CLAW, DOMINO, GEM, HOUSE, P4, contains_induced,
-                       cycle_graph)
+from .patterns import CLAW, GEM, P4, contains_induced, induced_cycles
 
 # --- local vertex types -------------------------------------------------------
 
@@ -131,24 +133,28 @@ def is_strongly_chordal(g):
     return True
 
 
-def strongly_chordal_farber(g):
-    """Cross-check criterion: every induced subgraph contains a simple vertex."""
-    for sub in range(1, 1 << g.n):
-        ok = False
-        for v in iter_bits(sub):
-            if _is_simple_in(g, sub, v):
-                ok = True
-                break
-        if not ok:
+def is_weakly_polarizable(g):
+    """No hole (induced cycle >= 5), house, domino, or A.  One induced-cycle
+    pass finds the holes and the induced C4s m; the other three all contain
+    an induced C4 and show in the traces adj[x] & m of outside vertices x: a
+    trace that is an edge of m is a house roof, and traces {c} and {d} on an
+    edge c-d of m complete a domino or an A."""
+    c4s = []
+    for m in induced_cycles(g, 4):
+        if m.bit_count() > 4:
+            return False
+        c4s.append(m)
+    for m in c4s:
+        singles = 0
+        for x in iter_bits(g.vertex_set() & ~m):
+            t = g.adj[x] & m
+            if t.bit_count() == 1:
+                singles |= t
+            elif t.bit_count() == 2 and g.adj[(t & -t).bit_length() - 1] & t:
+                return False
+        if any(g.adj[c] & singles for c in iter_bits(singles)):
             return False
     return True
-
-
-def is_weakly_polarizable(g):
-    """No hole (induced cycle >= 5), house, domino, or A."""
-    forbidden = [cycle_graph(k) for k in range(5, g.n + 1)]
-    forbidden += [HOUSE, DOMINO, A_GRAPH]
-    return free_of_family(g, forbidden)
 
 
 def find_asteroidal_triple(g):

@@ -171,15 +171,24 @@ def interval_of_set(g, spec, members):
     if members < 0 or members & ~g.vertex_set():
         raise ValueError(
             f"vertex set {members:#x} is not a subset of the {g.n} vertices")
+    return interval_step(g, spec)(members)
+
+
+def interval_step(g, spec):
+    """S -> I(S) as a function over one interval table.  It does not check
+    its masks: callers pass vertex sets of g."""
     t = interval_table(g, spec)
     n = g.n
-    out = members
-    vs = list(iter_bits(members))
-    for i, u in enumerate(vs):
-        row = u * n
-        for v in vs[i + 1:]:
-            out |= t[row + v]
-    return out
+
+    def step(members):
+        out = members
+        vs = list(iter_bits(members))
+        for i, u in enumerate(vs):
+            row = u * n
+            for v in vs[i + 1:]:
+                out |= t[row + v]
+        return out
+    return step
 
 
 # --- toll / weakly toll decisions --------------------------------------------

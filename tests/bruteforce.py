@@ -3,12 +3,15 @@
 Everything here is a literal transcription of a definition: permutation
 isomorphism, explicit path and walk enumeration, subset scans.  No shortcuts,
 no shared code with the library beyond the Graph container, tiny sizes only.
-The exceptions are the two oracles at the bottom.  The scan oracle starts
+The exceptions are the three oracles at the bottom.  The scan oracle starts
 from the library's interval tables and closure rules (checked against the
 literal definitions above elsewhere) to test the expansion table and the
 geometry scans built on top of them.  The enumeration oracle deduplicates
 every one-vertex extension by the library's canonical form (checked against
 permutation isomorphism elsewhere) to test the enumerator's deletion rule.
+The embedding oracle finds cycles, P4s, houses, dominoes and As with the
+library's embedding search (checked against naive_contains_induced
+elsewhere) to test the direct cycle and P4 enumerators and their callers.
 """
 
 import math
@@ -18,6 +21,10 @@ from itertools import combinations, permutations
 from convexgeom.canon import canonical_form, decode_canonical_form
 from convexgeom.engine import GeometryReport, closure_rules
 from convexgeom.graphs import Graph, bit, induced_subgraph, iter_bits, mask_of
+from convexgeom.patterns import (A_GRAPH, DOMINO, HOUSE, P4,
+                                 all_induced_occurrences, cycle_graph,
+                                 iter_induced_embeddings)
+from convexgeom.recognizers import free_of_family
 from convexgeom.walks import CLOSURE_KINDS, interval_table
 
 
@@ -286,6 +293,19 @@ def naive_simple_vertices(g):
     return out
 
 
+def strongly_chordal_farber(g):
+    """Farber's criterion: every nonempty induced subgraph has a simple vertex."""
+    return all(any(_is_simple_within(g, sub, v) for v in iter_bits(sub))
+               for sub in range(1, 1 << g.n))
+
+
+def _is_simple_within(g, sub, v):
+    # the closed neighbourhoods in G[sub] of v's neighbours are pairwise nested
+    rows = [(g.adj[u] | bit(u)) & sub for u in iter_bits(g.adj[v] & sub)]
+    return all(a & ~b == 0 or b & ~a == 0
+               for i, a in enumerate(rows) for b in rows[i + 1:])
+
+
 def naive_semisimplicial_vertices(g):
     internal = 0
     for u in range(g.n):
@@ -412,3 +432,33 @@ def naive_canonical_keys(n):
         for nbrs in range(1, 1 << (n - 1)):
             keys.add(canonical_form(parent.with_new_vertex(nbrs)))
     return tuple(sorted(keys))
+
+
+# --- embedding oracle -------------------------------------------------------
+#
+# Closure rules and weak polarizability as they stood before the direct
+# enumerators: every pattern copy found by the embedding search, once per
+# automorphism, and deduplicated afterwards.
+
+
+def embedding_closure_rules(g, spec):
+    rules = {}
+
+    def add_rule(trigger, x):
+        rules[trigger] = rules.get(trigger, 0) | bit(x)
+
+    if spec.kind == "p4plus":
+        for a, b, c, d in iter_induced_embeddings(g, P4):
+            add_rule(bit(a) | bit(b) | bit(d), c)
+            add_rule(bit(a) | bit(c) | bit(d), b)
+    else:
+        for h in spec.family:
+            for occ in all_induced_occurrences(g, h):
+                for x in iter_bits(occ):
+                    add_rule(occ & ~bit(x), x)
+    return tuple(sorted(rules.items()))
+
+
+def embedding_weakly_polarizable(g):
+    holes = [cycle_graph(k) for k in range(5, g.n + 1)]
+    return free_of_family(g, holes + [HOUSE, DOMINO, A_GRAPH])

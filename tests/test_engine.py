@@ -347,8 +347,10 @@ def test_per_query_path_above_guard_matches_table():
 @pytest.mark.parametrize("fn", [expand_once, is_convex, hull, extreme_vertices])
 @pytest.mark.parametrize("n", [3, EXPONENTIAL_GUARD + 1])
 def test_single_set_queries_reject_foreign_masks(fn, n):
+    # above the guard the expansion step itself checks nothing, so the one
+    # check on entry must catch every foreign mask, for every kind
     g = padded(path_graph(3), n)
-    for spec in (geodetic(), p4plus()):
+    for spec in all_kinds(n):
         for bad in (-1, -8, 1 << n, (1 << n) | 1):
             with pytest.raises(ValueError):
                 fn(g, spec, bad)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from itertools import combinations
 
@@ -73,6 +74,14 @@ def test_graph_is_immutable_and_hashable():
     h = Graph.from_edge_list(3, [(1, 2), (0, 1)])
     assert g == h and hash(g) == hash(h)
     assert len({g, h}) == 1
+
+
+def test_graph_pickle_round_trip():
+    g = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and hash(back) == hash(g)
+    with pytest.raises(AttributeError):
+        back.n = 5
 
 
 def test_basic_accessors():

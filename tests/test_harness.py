@@ -9,6 +9,7 @@ from convexgeom.harness import (
     INVERTED_PREFIX,
     LEMMAS,
     THEOREMS,
+    _odd_cycle_spec,
     certificate_lines,
     nonhereditary_fixture_check,
     read_certificates,
@@ -135,6 +136,13 @@ def test_parallel_matches_serial():
             assert parallel.summary() == serial.summary()
             assert certificate_lines(parallel.certificates) == \
                 certificate_lines(serial.certificates)
+
+
+def test_odd_cycle_spec_built_once_per_order():
+    assert _odd_cycle_spec(2) is None
+    spec = _odd_cycle_spec(8)
+    assert spec is _odd_cycle_spec(8)
+    assert [h.n for h in spec.family] == [3, 5, 7]
 
 
 def test_explicit_graph_list():

@@ -12,6 +12,7 @@ from bruteforce import (
     naive_maximal_cliques,
     naive_semisimplicial_vertices,
     naive_simple_vertices,
+    strongly_chordal_farber,
 )
 from convexgeom.enumeration import connected_graphs, connected_graphs_upto
 from convexgeom.errors import CapacityError
@@ -56,7 +57,6 @@ from convexgeom.recognizers import (
     semisimplicial_vertices,
     simple_vertices,
     simplicial_vertices,
-    strongly_chordal_farber,
 )
 from test_graphs import random_graph
 
