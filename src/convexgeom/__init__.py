@@ -6,7 +6,7 @@ extreme vertices, and convex-geometry verdicts; the harness machine-checks
 the characterization registry over all small connected graphs.
 """
 
-from .canon import canonical_form, canonical_graph, is_isomorphic
+from .canon import canonical_form, is_isomorphic
 from .engine import (GeometryReport, all_convex_sets, expand_once,
                      extreme_vertices, hull, is_convex, is_convex_geometry_mkm,
                      satisfies_antiexchange)
@@ -39,7 +39,7 @@ __all__ = [
     "GEM_FIXTURE_LABELS", "GeometryReport", "Graph", "Graph6ParseError",
     "GraphInputError", "LEMMAS", "SEVEN_FIXTURE", "SEVEN_FIXTURE_LABELS",
     "THEOREMS", "UnsupportedOracleError", "VerifyResult", "all_convex_sets",
-    "bounded_walk_oracle", "canonical_form", "canonical_graph", "components",
+    "bounded_walk_oracle", "canonical_form", "components",
     "connected_graphs", "connected_graphs_upto", "consecutive_orderings",
     "delete_vertex", "diameter", "distances", "emit_edge_list", "emit_graph6",
     "end_simplicial_vertices", "expand_once", "extreme_vertices", "f_free",

@@ -3,25 +3,33 @@
 Two-stage scheme: iterative color refinement (degree, then multiset of
 neighbor colors) splits vertices into order-invariant cells, then a pruned
 search over cell-respecting permutations picks the lexicographically least
-adjacency encoding.  Equal byte strings <=> isomorphic graphs.
+adjacency encoding.  Equal byte strings <=> isomorphic graphs.  The same
+search also yields the canonical vertex order and generators of the
+automorphism group, which the enumerator's canonical augmentation uses.
 """
 
 from .errors import CapacityError
 from .graphs import EXPONENTIAL_GUARD, Graph, bit, iter_bits
 
 
-def _refine_colors(g):
-    colors = [g.degree(v) for v in range(g.n)]
+def _refine_colors(adj):
+    """Refined vertex colors of the graph with adjacency list adj.  Each
+    color is an isomorphism invariant, and a lower degree means a lower
+    color."""
+    nbrs = [list(iter_bits(row)) for row in adj]
+    colors = [len(ns) for ns in nbrs]
+    count = len(set(colors))
     while True:
-        keys = []
-        for v in range(g.n):
-            nbr = sorted(colors[w] for w in iter_bits(g.adj[v]))
-            keys.append((colors[v], tuple(nbr)))
-        order = {k: i for i, k in enumerate(sorted(set(keys)))}
+        keys = [(colors[v], tuple(sorted([colors[w] for w in ns])))
+                for v, ns in enumerate(nbrs)]
+        distinct = sorted(set(keys))
+        order = {k: i for i, k in enumerate(distinct)}
         new = [order[k] for k in keys]
-        if len(set(new)) == len(set(colors)):
+        # stable, or discrete: a further round would renumber nothing
+        if len(distinct) in (count, len(adj)):
             return new
         colors = new
+        count = len(distinct)
 
 
 def _cells(colors):
@@ -31,46 +39,76 @@ def _cells(colors):
     return [by_color[c] for c in sorted(by_color)]
 
 
-def canonical_form(g):
-    """Canonical byte string; equal strings iff isomorphic.  Guarded at n <= 12."""
-    if g.n > EXPONENTIAL_GUARD:
-        raise CapacityError(f"canonical_form guarded at n <= {EXPONENTIAL_GUARD}")
-    n = g.n
+def canonical_search(adj, colors):
+    """(form, order, generators) for the graph with adjacency list adj and
+    refined colors colors (from _refine_colors(adj)).
+
+    form is the canonical byte string.  Vertex order[i] gets label i in the
+    canonical labeling.  generators are permutation tuples (vertex x maps to
+    p[x]) that generate the automorphism group Aut(G).
+
+    Why they generate Aut(G).  The leaves of the search tree are the
+    cell-respecting vertex orders.  Colors are invariant, so automorphisms
+    map leaves to leaves with the same row codes.  Two leaves with equal
+    codes differ by exactly one automorphism, the one that maps the i-th
+    vertex of the one to the i-th vertex of the other.  Let L* be the leaves
+    whose codes equal the final best.  Then every automorphism is
+    sigma_l: order[i] -> l[i] for exactly one l in L*.  The search records
+    sigma_l for every l in L* it reaches, and every twin transposition (u v)
+    it skips.  Prefix pruning cuts only subtrees that code above the best, so
+    it loses no leaf of L*.  A skipped branch v is the (u v) image of the
+    explored branch u at the same node, since (u v) is an automorphism that
+    fixes every placed vertex.  So a leaf l in L* below a skipped branch is
+    (u v)(l') for a leaf l' in L* whose first skipped branch lies deeper, if
+    any.  By induction on that depth, l = h(l'') for a reached l'' and a
+    product h of skipped transpositions, and then sigma_l = h sigma_l''.
+    """
+    n = len(adj)
     if n == 0:
-        return bytes([0])
-    cells = _cells(_refine_colors(g))
-    adj = g.adj
+        return bytes([0]), (), []
+    cells = _cells(colors)
     best = None  # per-position row codes of the least labeling found so far
+    best_order = None
+    leaf_auts = []  # sigma_l for the explored leaves coding equal to best
+    twins = set()
     current = [0] * n
+    placed = []
 
     # prefix_equal means current[0:pos] matches best's prefix, which licenses
     # pruning; best may improve mid-iteration, so completions re-compare in
     # full rather than trusting the flag
-    def search(pos, cell_idx, cell_remaining, placed, prefix_equal):
-        nonlocal best
+    def search(pos, cell_idx, cell_remaining, prefix_equal):
+        nonlocal best, best_order, leaf_auts
         if pos == n:
             if best is None or current < best:
                 best = current[:]
+                best_order = placed[:]
+                leaf_auts = []
+            elif current == best:
+                sigma = [0] * n
+                for a, b in zip(best_order, placed):
+                    sigma[a] = b
+                leaf_auts.append(tuple(sigma))
             return
         if not cell_remaining:
             cell_idx += 1
             cell_remaining = cells[cell_idx]
         tried = []
         for v in cell_remaining:
-            bv = bit(v)
+            av = adj[v]
             skip = False
             for u in tried:
-                bu = bit(u)
-                if adj[u] & ~(bu | bv) == adj[v] & ~(bu | bv):
-                    skip = True  # (u v) transposition is an automorphism
+                uv = (1 << u) | (1 << v)
+                if adj[u] & ~uv == av & ~uv:
+                    twins.add((u, v))  # (u v) transposition is an automorphism
+                    skip = True
                     break
             if skip:
                 continue
             tried.append(v)
             row = 0
-            av = adj[v]
             for w in placed:
-                row = (row << 1) | (1 if av & bit(w) else 0)
+                row = (row << 1) | (av >> w & 1)
             child_equal = prefix_equal
             if best is not None and prefix_equal:
                 if row > best[pos]:
@@ -80,39 +118,35 @@ def canonical_form(g):
             current[pos] = row
             placed.append(v)
             search(pos + 1, cell_idx,
-                   [w for w in cell_remaining if w != v],
-                   placed, child_equal)
+                   [w for w in cell_remaining if w != v], child_equal)
             placed.pop()
 
-    search(0, 0, cells[0], [], True)
-    out = bytearray([n])
-    acc = 0
-    nbits = 0
+    search(0, 0, cells[0], True)
+    generators = leaf_auts
+    for u, v in sorted(twins):
+        perm = list(range(n))
+        perm[u], perm[v] = v, u
+        generators.append(tuple(perm))
+    # the rows' bits in order, each row's first-placed vertex first, packed
+    # big-endian and zero-padded to whole bytes
+    code = 0
     for pos in range(n):
-        for k in range(pos - 1, -1, -1):
-            acc = (acc << 1) | ((best[pos] >> k) & 1)
-            nbits += 1
-            if nbits == 8:
-                out.append(acc)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(acc << (8 - nbits))
-    return bytes(out)
+        code = (code << pos) | best[pos]
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 8
+    form = bytes([n]) + (code << pad).to_bytes((nbits + pad) // 8, "big")
+    return form, tuple(best_order), generators
+
+
+def canonical_form(g):
+    """Canonical byte string; equal strings iff isomorphic.  Guarded at n <= 12."""
+    if g.n > EXPONENTIAL_GUARD:
+        raise CapacityError(f"canonical_form guarded at n <= {EXPONENTIAL_GUARD}")
+    return canonical_search(g.adj, _refine_colors(g.adj))[0]
 
 
 def is_isomorphic(g, h):
     return g.n == h.n and canonical_form(g) == canonical_form(h)
-
-
-def iso_invariant(g):
-    """Cheap isomorphism-invariant prefilter key: (n, edges, degree multiset)."""
-    return (g.n, g.edge_count(), tuple(sorted(g.degree(v) for v in range(g.n))))
-
-
-def canonical_graph(g):
-    """A concrete representative carrying the canonical labeling's adjacency."""
-    return decode_canonical_form(canonical_form(g))
 
 
 def decode_canonical_form(form):

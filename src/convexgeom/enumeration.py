@@ -1,25 +1,40 @@
 """Exhaustive enumeration of connected graphs up to isomorphism.
 
-Vertex-augmentation scheme: every connected graph on n vertices arises from
-some connected graph on n-1 vertices by attaching a new vertex v with a
-nonempty neighbor set, so growing all parents and deduplicating by canonical
-form is exhaustive.  Counts match the known sequence 1, 1, 2, 6, 21, 112, 853,
+Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998): every connected graph on n vertices is grown from a
+connected graph P on n-1 vertices by a new vertex v with a nonempty neighbor
+set S, and each isomorphism class is generated exactly once, so no set of
+keys is kept.  Counts match the known sequence 1, 1, 2, 6, 21, 112, 853,
 11117, 261080 for n = 1..9.
 
-Most candidates are duplicates, so a deletion rule in the spirit of McKay's
-canonical augmentation (J. Algorithms 1998) rejects them before any canonical
-form is computed: a candidate is kept only if no vertex u != v with
-deg(u) < deg(v) is a non-cut vertex, i.e. v has the least degree among the
-non-cut vertices.  No graph is lost: every connected G has a non-cut vertex;
-take w of least degree among them.  G - w is connected, hence isomorphic to
-some parent P, and the candidate (P, image of N(w)) is isomorphic to G with
-v in the role of w.  Degree and cut status are isomorphism invariants, so
-that candidate passes the rule.
+The canonical deletion vertex w*(G) of a connected graph G is the first
+vertex, in the canonical order of canon.canonical_search, among the non-cut
+vertices of least refined color.  Refined colors are isomorphism invariants
+and refine degree, and two canonical orders differ by an isomorphism, so
+every isomorphism G -> G' maps w*(G) into the Aut(G')-orbit of w*(G').  A
+candidate (P, S) is tried for one S per Aut(P)-orbit of nonempty neighbor
+sets, and the child G is accepted iff v lies in the Aut(G)-orbit of w*(G).
+Two cheap filters run before the search, and both only reject candidates the
+orbit test would reject: no non-cut vertex may have lower degree than v
+(_passes_deletion_rule), nor lower refined color.  Once both pass, v has the
+least color among the non-cut vertices, so w*(G) is the first non-cut vertex
+of v's color.
+
+At least once: take any connected G and w = w*(G).  G - w is connected, so
+it is isomorphic to exactly one parent P, say by psi, and some tried set S
+lies in the Aut(P)-orbit of psi(N(w)).  The candidate (P, S) is isomorphic
+to G by a map taking w to v, so v lies in the orbit of w*(candidate) and the
+candidate is accepted.  At most once: if accepted candidates (P1, S1) and
+(P2, S2) give isomorphic children, both v's lie in the orbits of the
+children's w*, so some isomorphism maps v to v.  It restricts to an
+isomorphism P1 -> P2, so P1 = P2 = P, and to an automorphism of P that maps
+S1 to S2.  So S1 and S2 lie in one orbit, and only one of them is tried.
 """
 
 from functools import lru_cache
 
-from .canon import canonical_form, decode_canonical_form
+from .canon import (_refine_colors, canonical_form, canonical_search,
+                    decode_canonical_form)
 from .errors import CapacityError
 from .graphs import Graph, iter_bits
 
@@ -54,20 +69,75 @@ def _passes_deletion_rule(adj):
     return True
 
 
+def _close(x, maps, seen):
+    """Mark in seen the orbit of point x under the group the maps generate;
+    each map is a sequence from a point to its image."""
+    seen[x] = 1
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        for m in maps:
+            z = m[y]
+            if not seen[z]:
+                seen[z] = 1
+                stack.append(z)
+
+
+def _orbit_representatives(m, generators):
+    """The least member of each orbit of nonempty subsets of range(m) under
+    the permutation group the generators generate."""
+    size = 1 << m
+    tables = []
+    for perm in generators:
+        im = {1 << x: 1 << y for x, y in enumerate(perm)}
+        img = [0] * size
+        for s in range(1, size):
+            img[s] = img[s & (s - 1)] | im[s & -s]
+        tables.append(img)
+    seen = bytearray(size)
+    reps = []
+    for s in range(1, size):
+        if not seen[s]:
+            reps.append(s)
+            _close(s, tables, seen)
+    return reps
+
+
+def _augmentations(parent):
+    """The canonical forms of the children of parent that canonical
+    augmentation accepts."""
+    p_adj = parent.adj
+    v = len(p_adj)
+    generators = canonical_search(p_adj, _refine_colors(p_adj))[2]
+    for nbrs in _orbit_representatives(v, generators):
+        adj = [row | (1 << v) if nbrs >> u & 1 else row
+               for u, row in enumerate(p_adj)]
+        adj.append(nbrs)
+        if not _passes_deletion_rule(adj):
+            continue
+        colors = _refine_colors(adj)
+        c = colors[v]
+        deg_v = nbrs.bit_count()
+        # a lower color means a degree no higher than v's; the deletion rule
+        # already found every vertex of lower degree to be a cut vertex
+        if any(colors[u] < c and adj[u].bit_count() == deg_v
+               and _connected_without(adj, u) for u in range(v)):
+            continue
+        form, order, auts = canonical_search(adj, colors)
+        w = next(w for w in order if colors[w] == c
+                 and (w == v or _connected_without(adj, w)))
+        seen = bytearray(len(adj))
+        _close(w, auts, seen)
+        if seen[v]:
+            yield form
+
+
 @lru_cache(maxsize=None)
 def _canonical_keys(n):
     if n == 1:
         return (canonical_form(Graph(1, (0,))),)
-    v = n - 1
-    keys = set()
-    for parent in _graphs(n - 1):
-        for nbrs in range(1, 1 << v):
-            adj = [row | (1 << v) if nbrs >> u & 1 else row
-                   for u, row in enumerate(parent.adj)]
-            adj.append(nbrs)
-            if _passes_deletion_rule(adj):
-                keys.add(canonical_form(Graph(n, adj)))
-    return tuple(sorted(keys))
+    return tuple(sorted(form for parent in _graphs(n - 1)
+                        for form in _augmentations(parent)))
 
 
 @lru_cache(maxsize=None)

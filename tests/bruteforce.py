@@ -3,15 +3,18 @@
 Everything here is a literal transcription of a definition: permutation
 isomorphism, explicit path and walk enumeration, subset scans.  No shortcuts,
 no shared code with the library beyond the Graph container, tiny sizes only.
-The exceptions are the three oracles at the bottom.  The scan oracle starts
-from the library's interval tables and closure rules (checked against the
-literal definitions above elsewhere) to test the expansion table and the
-geometry scans built on top of them.  The enumeration oracle deduplicates
-every one-vertex extension by the library's canonical form (checked against
-permutation isomorphism elsewhere) to test the enumerator's deletion rule.
-The embedding oracle finds cycles, P4s, houses, dominoes and As with the
-library's embedding search (checked against naive_contains_induced
-elsewhere) to test the direct cycle and P4 enumerators and their callers.
+The exceptions are the canonical-form helpers and the three oracles at the
+bottom.  The helpers wrap the library's canonical form for tests that need a
+representative or a prefilter key.  The scan oracle starts from the
+library's interval tables and closure rules (checked against the literal
+definitions above elsewhere) to test the expansion table and the geometry
+scans built on top of them.  The enumeration oracle deduplicates every
+one-vertex extension by the library's canonical form (checked against
+permutation isomorphism elsewhere) to test the enumerator's canonical
+augmentation.  The embedding oracle finds cycles, P4s, houses, dominoes and
+As with the library's embedding search (checked against
+naive_contains_induced elsewhere) to test the direct cycle and P4
+enumerators and their callers.
 """
 
 import math
@@ -26,6 +29,14 @@ from convexgeom.patterns import (A_GRAPH, DOMINO, HOUSE, P4,
                                  iter_induced_embeddings)
 from convexgeom.recognizers import free_of_family
 from convexgeom.walks import CLOSURE_KINDS, interval_table
+
+
+def naive_automorphisms(g):
+    """Every vertex permutation p (vertex u maps to p[u]) that keeps g."""
+    verts = range(g.n)
+    return {perm for perm in permutations(verts)
+            if all(g.has_edge(u, v) == g.has_edge(perm[u], perm[v])
+                   for u in verts for v in verts if u < v)}
 
 
 def naive_is_isomorphic(g, h):
@@ -416,10 +427,26 @@ def naive_antiexchange(g, spec):
     return GeometryReport(True, "antiexchange")
 
 
+# --- canonical-form helpers -------------------------------------------------
+#
+# Built on the library's canonical form; no library code uses them.
+
+
+def iso_invariant(g):
+    """Cheap isomorphism-invariant prefilter key: (n, edges, degree multiset)."""
+    return (g.n, g.edge_count(), tuple(sorted(g.degree(v) for v in range(g.n))))
+
+
+def canonical_graph(g):
+    """A concrete representative carrying the canonical labeling's adjacency."""
+    return decode_canonical_form(canonical_form(g))
+
+
 # --- enumeration oracle -----------------------------------------------------
 #
-# The enumerator as it stood before its deletion rule: every nonempty
-# neighbor set of a new vertex on every parent, deduplicated by canonical form.
+# The enumerator as it stood before its deletion rule and canonical
+# augmentation: every nonempty neighbor set of a new vertex on every parent,
+# deduplicated by canonical form.
 
 
 @lru_cache(maxsize=None)

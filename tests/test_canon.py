@@ -4,16 +4,19 @@ from itertools import permutations
 import networkx as nx
 import pytest
 
-from bruteforce import naive_is_isomorphic
+from bruteforce import (canonical_graph, iso_invariant, naive_automorphisms,
+                        naive_is_isomorphic)
 from convexgeom.canon import (
+    _refine_colors,
     canonical_form,
-    canonical_graph,
+    canonical_search,
     decode_canonical_form,
     is_isomorphic,
-    iso_invariant,
 )
+from convexgeom.enumeration import connected_graphs
 from convexgeom.errors import CapacityError
 from convexgeom.graphs import Graph
+from convexgeom.patterns import complete_graph, cycle_graph
 from test_graphs import labeled_graphs, random_graph
 
 
@@ -92,3 +95,66 @@ def test_capacity_guard():
     big = Graph(13, (0,) * 13)
     with pytest.raises(CapacityError):
         canonical_form(big)
+
+
+def _search_generators(g):
+    return canonical_search(g.adj, _refine_colors(g.adj))[2]
+
+
+def _generated_group(n, generators):
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for gen in generators:
+            q = tuple(gen[x] for x in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def test_generators_generate_the_automorphism_group():
+    rng = random.Random(11)
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            assert _generated_group(n, _search_generators(h)) == naive_automorphisms(h)
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edge_list(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+@pytest.mark.parametrize("g, order", [
+    (complete_graph(8), 40320),
+    (Graph.from_edge_list(8, [(0, i) for i in range(1, 8)]), 5040),
+    (cycle_graph(8), 16),
+    (Graph.from_edge_list(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4)
+                              if u < u ^ b]), 48),
+    (_petersen(), 120),
+], ids=["K8", "K1,7", "C8", "Q3", "Petersen"])
+def test_automorphism_group_orders(g, order):
+    generators = _search_generators(g)
+    for gen in generators:
+        assert sorted(gen) == list(range(g.n))
+        assert g.relabel(list(gen)) == g
+    assert len(_generated_group(g.n, generators)) == order
+
+
+def test_search_order_is_the_canonical_labeling():
+    rng = random.Random(23)
+    for trial in range(40):
+        n = rng.randrange(1, 10)
+        g = random_graph(n, rng.random(), rng)
+        form, order, _ = canonical_search(g.adj, _refine_colors(g.adj))
+        label = [0] * n
+        for i, v in enumerate(order):
+            label[v] = i
+        assert form == canonical_form(g)
+        assert g.relabel(label) == decode_canonical_form(form)

@@ -1,3 +1,5 @@
+import hashlib
+
 import networkx as nx
 import pytest
 
@@ -25,6 +27,26 @@ def test_counts_match_known_sequence():
 
 def test_count_n8():
     assert len(connected_graphs(8)) == CONNECTED_COUNTS[8]
+
+
+def test_each_class_generated_exactly_once():
+    # no dedupe set: a class generated twice would show up as extra length
+    for n in range(1, 9):
+        keys = _canonical_keys(n)
+        assert len(keys) == CONNECTED_COUNTS[n]
+        assert len(set(keys)) == len(keys)
+
+
+# sha256 of b"".join(_canonical_keys(n)): pins every canonical byte
+KEY_DIGESTS = {
+    7: "038532859877fec534ae5b54f1a4f85353ce99d6ab1b94e30502357b9987b12c",
+    8: "5067619f592aa75c11e55f8f1101c0398288d1df66aabf84f7e93520b08be0cd",
+}
+
+
+@pytest.mark.parametrize("n", sorted(KEY_DIGESTS))
+def test_keys_byte_identical(n):
+    assert hashlib.sha256(b"".join(_canonical_keys(n))).hexdigest() == KEY_DIGESTS[n]
 
 
 def test_members_are_connected_and_distinct():

@@ -4,7 +4,7 @@ from itertools import combinations
 from bruteforce import naive_contains_induced, naive_is_isomorphic
 from convexgeom.canon import canonical_form, is_isomorphic
 from convexgeom.enumeration import connected_graphs_upto
-from convexgeom.graphs import Graph, bit, iter_bits, mask_of
+from convexgeom.graphs import Graph, iter_bits, mask_of
 from convexgeom.patterns import (
     A_GRAPH,
     CLAW,

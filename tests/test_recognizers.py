@@ -58,7 +58,6 @@ from convexgeom.recognizers import (
     simple_vertices,
     simplicial_vertices,
 )
-from test_graphs import random_graph
 
 
 def naive_simplicial(g):

@@ -7,7 +7,7 @@ from convexgeom.enumeration import connected_graphs, connected_graphs_upto
 from convexgeom.errors import UnsupportedOracleError
 from convexgeom.fixtures import GEM_FIXTURE
 from convexgeom.graphs import Graph, bit, mask_of
-from convexgeom.patterns import K3, P4, cycle_graph, path_graph, star_graph
+from convexgeom.patterns import K3, cycle_graph, path_graph, star_graph
 from convexgeom.recognizers import find_asteroidal_triple, is_ptolemaic
 from convexgeom.walks import (
     CLOSURE_KINDS,
