@@ -23,10 +23,9 @@ from .harness import (LEMMAS, THEOREMS, VerifyResult,
                       read_graph6_lines, resolve_lemma, resolve_theorem,
                       reverify_certificate, verify_lemma, verify_theorem,
                       write_certificates)
-from .recognizers import (consecutive_orderings, end_simplicial_vertices,
-                          find_asteroidal_triple, maximal_cliques, recognize,
-                          semisimplicial_vertices, simple_vertices,
-                          simplicial_vertices)
+from .recognizers import (end_simplicial_vertices, find_asteroidal_triple,
+                          maximal_cliques, recognize, semisimplicial_vertices,
+                          simple_vertices, simplicial_vertices)
 from .walks import (ConvexitySpec, bounded_walk_oracle, f_free, geodetic,
                     interval, interval_of_set, interval_table, lk, m3,
                     monophonic, p3, p4plus, strong, toll, triangle_path,
@@ -40,8 +39,8 @@ __all__ = [
     "GraphInputError", "LEMMAS", "SEVEN_FIXTURE", "SEVEN_FIXTURE_LABELS",
     "THEOREMS", "UnsupportedOracleError", "VerifyResult", "all_convex_sets",
     "bounded_walk_oracle", "canonical_form", "components",
-    "connected_graphs", "connected_graphs_upto", "consecutive_orderings",
-    "delete_vertex", "diameter", "distances", "emit_edge_list", "emit_graph6",
+    "connected_graphs", "connected_graphs_upto", "delete_vertex", "diameter",
+    "distances", "emit_edge_list", "emit_graph6",
     "end_simplicial_vertices", "expand_once", "extreme_vertices", "f_free",
     "find_asteroidal_triple", "geodetic", "hull", "induced_subgraph",
     "interval", "interval_of_set", "interval_table", "is_connected",

@@ -130,41 +130,20 @@ def _cmd_interval(args):
     return 0
 
 
-def _cmd_hull(args):
+def _cmd_set_query(args):
     g, labels = _load_graph(args)
     spec = _spec_from_args(args)
     s = _parse_vertex_set(args.set, labels)
-    result = hull(g, spec, s)
+    result = args.query(g, spec, s)
     _maybe_label_table(args, labels)
-    names = _names(result, labels)
-    _emit(args, {"command": "hull", "convexity": spec.name,
-                 "set": _names(s, labels), "result": names},
-          "{" + ",".join(names) + "}")
-    return 0
-
-
-def _cmd_is_convex(args):
-    g, labels = _load_graph(args)
-    spec = _spec_from_args(args)
-    s = _parse_vertex_set(args.set, labels)
-    verdict = is_convex(g, spec, s)
-    _maybe_label_table(args, labels)
-    _emit(args, {"command": "is-convex", "convexity": spec.name,
-                 "set": _names(s, labels), "verdict": verdict},
-          "true" if verdict else "false")
-    return 0 if verdict else 1
-
-
-def _cmd_extreme(args):
-    g, labels = _load_graph(args)
-    spec = _spec_from_args(args)
-    s = _parse_vertex_set(args.set, labels)
-    result = extreme_vertices(g, spec, s)
-    _maybe_label_table(args, labels)
-    names = _names(result, labels)
-    _emit(args, {"command": "extreme", "convexity": spec.name,
-                 "set": _names(s, labels), "result": names},
-          "{" + ",".join(names) + "}")
+    payload = {"command": args.subcommand, "convexity": spec.name,
+               "set": _names(s, labels)}
+    if isinstance(result, bool):
+        payload["verdict"] = result
+        _emit(args, payload, "true" if result else "false")
+        return 0 if result else 1
+    payload["result"] = names = _names(result, labels)
+    _emit(args, payload, "{" + ",".join(names) + "}")
     return 0
 
 
@@ -305,6 +284,13 @@ def _cmd_render_dot(args):
 # --- parser wiring --------------------------------------------------------------
 
 
+_SET_QUERIES = (
+    ("hull", hull, "convex hull of a vertex set"),
+    ("is-convex", is_convex, "is the vertex set convex"),
+    ("extreme", extreme_vertices, "extreme vertices of a convex set"),
+)
+
+
 def _add_input_args(sub):
     sub.add_argument("path", nargs="?", help="input graph file")
     sub.add_argument("--graph6", help="inline graph6 string instead of a file")
@@ -331,23 +317,12 @@ def build_parser():
     sub.add_argument("--pair", required=True, help="vertex pair 'u,v'")
     sub.set_defaults(func=_cmd_interval)
 
-    sub = subs.add_parser("hull", help="convex hull of a vertex set")
-    _add_input_args(sub)
-    _add_convexity_args(sub)
-    sub.add_argument("--set", default="", help="comma-separated vertex labels")
-    sub.set_defaults(func=_cmd_hull)
-
-    sub = subs.add_parser("is-convex", help="is the vertex set convex")
-    _add_input_args(sub)
-    _add_convexity_args(sub)
-    sub.add_argument("--set", default="", help="comma-separated vertex labels")
-    sub.set_defaults(func=_cmd_is_convex)
-
-    sub = subs.add_parser("extreme", help="extreme vertices of a convex set")
-    _add_input_args(sub)
-    _add_convexity_args(sub)
-    sub.add_argument("--set", default="", help="comma-separated vertex labels")
-    sub.set_defaults(func=_cmd_extreme)
+    for name, query, text in _SET_QUERIES:
+        sub = subs.add_parser(name, help=text)
+        _add_input_args(sub)
+        _add_convexity_args(sub)
+        sub.add_argument("--set", default="", help="comma-separated vertex labels")
+        sub.set_defaults(func=_cmd_set_query, query=query)
 
     sub = subs.add_parser("convex-sets", help="list every convex set")
     _add_input_args(sub)

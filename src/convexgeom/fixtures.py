@@ -1,6 +1,6 @@
 """Named reference graphs with human-readable labels."""
 
-from .graphs import Graph, bit
+from .graphs import Graph, bit, induced_subgraph
 
 # 7-vertex chordal graph of diameter 3 whose deck under single-vertex deletion
 # leaves diameter-4 remainders; labels are the customary "1".."7"
@@ -17,15 +17,7 @@ GEM_FIXTURE = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3),
 
 def delete_vertex(g, v):
     """Induced subgraph on the other vertices; old labels shift down."""
-    keep = [u for u in range(g.n) if u != v]
-    adj = []
-    for u in keep:
-        row = 0
-        for j, w in enumerate(keep):
-            if g.adj[u] & bit(w):
-                row |= bit(j)
-        adj.append(row)
-    return Graph(g.n - 1, tuple(adj))
+    return induced_subgraph(g, g.vertex_set() & ~bit(v))[0]
 
 
 FIXTURES = {

@@ -44,6 +44,16 @@ class TheoremEntry:
     class_check: object       # Graph -> bool
     description: str
 
+    def evaluate(self, g):
+        """(geometry verdict, class verdict, witness or None when the
+        statement holds on g)."""
+        spec = self.spec_for(g.n)
+        report = GeometryReport(True, "mkm") if spec is None else is_convex_geometry_mkm(g, spec)
+        geo = report.verdict
+        cls = bool(self.class_check(g))
+        violated = (geo != cls) if self.direction == "iff" else (geo and not cls)
+        return geo, cls, report.to_dict() if violated else None
+
 
 @dataclass(frozen=True)
 class LemmaEntry:
@@ -52,6 +62,13 @@ class LemmaEntry:
     domain: object            # Graph -> bool
     check: object             # Graph -> (bool, witness dict or None)
     description: str
+
+    def evaluate(self, g):
+        """(in domain and holds, in domain, witness or None when it holds)."""
+        if not self.domain(g):
+            return False, False, None
+        holds, witness = self.check(g)
+        return holds, True, None if holds else witness or {}
 
 
 @dataclass
@@ -151,59 +168,6 @@ def resolve_theorem(ident):
         return THEOREMS[ident]
     except KeyError:
         raise ValueError(f"unknown theorem id {ident!r}") from None
-
-
-def _evaluate_theorem(entry, g):
-    spec = entry.spec_for(g.n)
-    report = GeometryReport(True, "mkm") if spec is None else is_convex_geometry_mkm(g, spec)
-    geo = report.verdict
-    cls = bool(entry.class_check(g))
-    violated = (geo != cls) if entry.direction == "iff" else (geo and not cls)
-    cert = None
-    if violated:
-        cert = {"g6": emit_graph6(g), "theorem": entry.ident,
-                "geometry": geo, "class": cls, "witness": report.to_dict()}
-    return geo, cls, cert
-
-
-def _theorem_chunk(ident, graphs):
-    entry = resolve_theorem(ident)
-    geo_count = cls_count = 0
-    certs = []
-    for g in graphs:
-        geo, cls, cert = _evaluate_theorem(entry, g)
-        geo_count += geo
-        cls_count += cls
-        if cert is not None:
-            certs.append(cert)
-    return geo_count, cls_count, certs
-
-
-def verify_theorem(ident, n_max=None, jobs=1, graphs=None):
-    """Check one theorem entry over all connected graphs up to n_max vertices
-    (or an explicit graph list) and collect violation certificates."""
-    entry = resolve_theorem(ident)
-    if graphs is None:
-        if n_max is None:
-            n_max = entry.default_n_max
-        graphs = connected_graphs_upto(n_max)
-    else:
-        graphs = list(graphs)
-        if n_max is None:
-            n_max = max((g.n for g in graphs), default=0)
-    result = VerifyResult(ident, n_max, len(graphs), 0, 0)
-    if jobs > 1 and len(graphs) > 1:
-        chunks = [graphs[i::jobs] for i in range(jobs) if graphs[i::jobs]]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(partial(_theorem_chunk, ident), chunks))
-    else:
-        parts = [_theorem_chunk(ident, graphs)]
-    for geo_count, cls_count, certs in parts:
-        result.geometries += geo_count
-        result.class_members += cls_count
-        result.certificates.extend(certs)
-    result.certificates.sort(key=lambda c: (c["g6"], c["theorem"]))
-    return result
 
 
 # --- lemma registry ---------------------------------------------------------------
@@ -362,22 +326,31 @@ def resolve_lemma(ident):
         raise ValueError(f"unknown lemma id {ident!r}") from None
 
 
-def _evaluate_lemma(entry, g):
-    in_domain = bool(entry.domain(g))
-    if not in_domain:
-        return False, True, None
-    holds, witness = entry.check(g)
-    cert = None
-    if not holds:
-        cert = {"g6": emit_graph6(g), "theorem": entry.ident,
-                "geometry": False, "class": True,
-                "witness": witness or {}}
-    return True, holds, cert
+# --- the sweep -------------------------------------------------------------------
 
 
-def verify_lemma(ident, n_max=None, graphs=None):
-    """Check one lemma entry over its domain; certificates mark violations."""
-    entry = resolve_lemma(ident)
+def _resolve(ident):
+    """A lemma entry by id, else a theorem entry (X-INV- prefix allowed)."""
+    return LEMMAS[ident] if ident in LEMMAS else resolve_theorem(ident)
+
+
+def _chunk(ident, graphs):
+    """Evaluate one entry on a graph list: (geometries, class members,
+    certificates).  Resolved by id so a process pool can ship it."""
+    entry = _resolve(ident)
+    geo_count = cls_count = 0
+    certs = []
+    for g in graphs:
+        geo, cls, witness = entry.evaluate(g)
+        geo_count += geo
+        cls_count += cls
+        if witness is not None:
+            certs.append({"g6": emit_graph6(g), "theorem": ident,
+                          "geometry": geo, "class": cls, "witness": witness})
+    return geo_count, cls_count, certs
+
+
+def _sweep(entry, n_max, jobs, graphs):
     if graphs is None:
         if n_max is None:
             n_max = entry.default_n_max
@@ -386,15 +359,30 @@ def verify_lemma(ident, n_max=None, graphs=None):
         graphs = list(graphs)
         if n_max is None:
             n_max = max((g.n for g in graphs), default=0)
-    result = VerifyResult(ident, n_max, len(graphs), 0, 0)
-    for g in graphs:
-        in_domain, holds, cert = _evaluate_lemma(entry, g)
-        result.class_members += in_domain
-        result.geometries += in_domain and holds
-        if cert is not None:
-            result.certificates.append(cert)
+    result = VerifyResult(entry.ident, n_max, len(graphs), 0, 0)
+    if jobs > 1 and len(graphs) > 1:
+        chunks = [graphs[i::jobs] for i in range(jobs) if graphs[i::jobs]]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(partial(_chunk, entry.ident), chunks))
+    else:
+        parts = [_chunk(entry.ident, graphs)]
+    for geo_count, cls_count, certs in parts:
+        result.geometries += geo_count
+        result.class_members += cls_count
+        result.certificates.extend(certs)
     result.certificates.sort(key=lambda c: (c["g6"], c["theorem"]))
     return result
+
+
+def verify_theorem(ident, n_max=None, jobs=1, graphs=None):
+    """Check one theorem entry over all connected graphs up to n_max vertices
+    (or an explicit graph list) and collect violation certificates."""
+    return _sweep(resolve_theorem(ident), n_max, jobs, graphs)
+
+
+def verify_lemma(ident, n_max=None, graphs=None):
+    """Check one lemma entry over its domain; certificates mark violations."""
+    return _sweep(resolve_lemma(ident), n_max, 1, graphs)
 
 
 # --- certificates on disk -----------------------------------------------------------
@@ -418,15 +406,8 @@ def read_certificates(path):
 
 def reverify_certificate(cert):
     """Recompute both verdicts from the stored graph6 string."""
-    ident = cert["theorem"]
     g = parse_graph6(cert["g6"])
-    base = ident[len(INVERTED_PREFIX):] if ident.startswith(INVERTED_PREFIX) else ident
-    if base in LEMMAS:
-        entry = resolve_lemma(base)
-        in_domain, holds, _ = _evaluate_lemma(entry, g)
-        return cert["class"] == in_domain and cert["geometry"] == holds
-    entry = resolve_theorem(ident)
-    geo, cls, _ = _evaluate_theorem(entry, g)
+    geo, cls, _ = _resolve(cert["theorem"]).evaluate(g)
     return cert["geometry"] == geo and cert["class"] == cls
 
 

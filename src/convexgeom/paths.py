@@ -1,4 +1,4 @@
-"""Backtracking enumeration of simple paths under chord rules.
+"""Path intervals under chord rules, by backtracking over simple paths.
 
 Chord rules are evaluated incrementally: a chord is inspected the moment its
 later endpoint enters the path, so branches that can never qualify are cut
@@ -8,7 +8,6 @@ endpoint, since extending the path can turn an endpoint into an interior
 vertex and re-legalize it.
 
 Modes:
-  all       every simple path
   induced   no chords at all
   strong    no odd chord (odd positional distance > 1), no chord at either end
   triangle  chords only between vertices at positional distance exactly 2
@@ -16,52 +15,7 @@ Modes:
 
 from .graphs import bit, iter_bits
 
-MODES = ("all", "induced", "strong", "triangle")
-
-
-def simple_paths(g, u, v, mode="induced", min_len=0, max_len=None):
-    """Yield qualifying simple u-v paths as vertex tuples (u first)."""
-    if mode not in MODES:
-        raise ValueError(f"unknown path mode {mode!r}")
-    if u == v:
-        if min_len <= 0:
-            yield (u,)
-        return
-    if max_len is None:
-        max_len = g.n - 1
-    adj = g.adj
-    path = [u]
-    target = v
-
-    def extend(last, pmask, rest_allowed):
-        depth = len(path)
-        if depth - 1 >= max_len:
-            return
-        for w in iter_bits(adj[last] & rest_allowed):
-            bw = bit(w)
-            chords = adj[w] & pmask & ~bit(last)
-            if mode == "induced" and chords:
-                continue
-            if mode == "strong" and not _strong_extension_ok(path, w, chords):
-                continue
-            if mode == "triangle" and not _triangle_extension_ok(path, chords):
-                continue
-            path.append(w)
-            if w == target:
-                # a simple u-v path ends at its first visit to v
-                if len(path) - 1 >= min_len and _qualifies(mode, chords):
-                    yield tuple(path)
-            else:
-                yield from extend(w, pmask | bw, rest_allowed & ~bw)
-            path.pop()
-
-    yield from extend(u, bit(u), g.vertex_set() & ~bit(u))
-
-
-def _qualifies(mode, endpoint_chords):
-    if mode == "strong":
-        return endpoint_chords == 0
-    return True
+MODES = ("induced", "strong", "triangle")
 
 
 def _strong_extension_ok(path, w, chords):
@@ -89,8 +43,10 @@ def _triangle_extension_ok(path, chords):
 
 def path_interval_rows(g, source, mode, min_len=0, max_len=None):
     """For one source, OR together the vertex masks of qualifying paths per
-    endpoint; rows[w] covers all qualifying source-w paths.  Same pruning as
-    simple_paths, but without materializing the paths."""
+    endpoint; rows[w] covers all qualifying source-w paths.  The paths are
+    never materialized."""
+    if mode not in MODES:
+        raise ValueError(f"unknown path mode {mode!r}")
     n = g.n
     rows = [0] * n
     if max_len is None:
@@ -112,11 +68,9 @@ def path_interval_rows(g, source, mode, min_len=0, max_len=None):
                 if not _strong_extension_ok(path, w, chords):
                     continue
                 qualifies = chords == 0 and depth + 1 >= min_len
-            elif mode == "triangle":
+            else:
                 if not _triangle_extension_ok(path, chords):
                     continue
-                qualifies = depth + 1 >= min_len
-            else:
                 qualifies = depth + 1 >= min_len
             path.append(w)
             if qualifies:

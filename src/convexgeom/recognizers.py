@@ -341,36 +341,6 @@ def maximal_cliques(g):
     return sorted(out)
 
 
-def consecutive_orderings(g, max_cliques=12):
-    """Yield every linear order of the maximal cliques in which each vertex's
-    cliques sit consecutively.  Empty when no such order exists."""
-    cliques = maximal_cliques(g)
-    k = len(cliques)
-    if k > max_cliques:
-        raise CapacityError(f"{k} maximal cliques exceed the ordering guard {max_cliques}")
-    if k == 0:
-        yield ()
-        return
-    order = []
-
-    def extend(placed_mask, seen, last):
-        if placed_mask == (1 << k) - 1:
-            yield tuple(order)
-            return
-        closed = seen & ~last
-        for i in range(k):
-            if placed_mask & (1 << i):
-                continue
-            c = cliques[i]
-            if c & closed:
-                continue  # some vertex would restart after being closed
-            order.append(c)
-            yield from extend(placed_mask | (1 << i), seen | c, c)
-            order.pop()
-
-    yield from extend(0, 0, 0)
-
-
 def end_simplicial_vertices(g, max_cliques=12):
     """Simplicial vertices whose unique maximal clique can open some
     consecutive clique ordering (realizable with an end interval)."""

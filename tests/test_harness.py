@@ -5,10 +5,12 @@ import pytest
 from convexgeom.enumeration import connected_graphs_upto
 from convexgeom.fixtures import SEVEN_FIXTURE
 from convexgeom.graphs import Graph, emit_graph6, parse_graph6
+from convexgeom.recognizers import is_chordal
 from convexgeom.harness import (
     INVERTED_PREFIX,
     LEMMAS,
     THEOREMS,
+    LemmaEntry,
     _odd_cycle_spec,
     certificate_lines,
     nonhereditary_fixture_check,
@@ -210,6 +212,41 @@ def test_lemma_reverify_branch():
     assert reverify_certificate(good)
     bad = dict(good, geometry=False)
     assert not reverify_certificate(bad)
+
+
+def test_reverify_rejects_inverted_lemma_ids():
+    # X-INV- negates a theorem's class side; lemmas have no inverted form, so
+    # a certificate naming one must not be judged against the plain lemma
+    with pytest.raises(ValueError):
+        verify_lemma(INVERTED_PREFIX + "L-HOWORKA", n_max=3)
+    g6 = emit_graph6(Graph.from_edge_list(3, [(0, 1), (1, 2)]))
+    cert = {"g6": g6, "theorem": INVERTED_PREFIX + "L-HOWORKA",
+            "geometry": True, "class": True, "witness": {}}
+    with pytest.raises(ValueError):
+        reverify_certificate(cert)
+
+
+def test_failing_lemma_certificates(monkeypatch):
+    # a lemma that fails on every chordal graph with four vertices: of the 10
+    # connected graphs up to n = 4, 9 are chordal (all but C4), 4 of them are
+    # smaller than four vertices
+    entry = LemmaEntry("L-FAILS", 4, is_chordal,
+                       lambda g: (g.n < 4, {"order": g.n}),
+                       "fails on four-vertex chordal graphs")
+    monkeypatch.setitem(LEMMAS, entry.ident, entry)
+    result = verify_lemma("L-FAILS")
+    assert result.summary() == {"theorem": "L-FAILS", "nMax": 4, "graphs": 10,
+                                "geometries": 4, "classMembers": 9,
+                                "certificates": 5}
+    for cert in result.certificates:
+        assert parse_graph6(cert["g6"]).n == 4
+        assert cert["theorem"] == "L-FAILS"
+        assert cert["geometry"] is False and cert["class"] is True
+        assert cert["witness"] == {"order": 4}
+        assert reverify_certificate(cert)
+        assert not reverify_certificate(dict(cert, geometry=True))
+    with pytest.raises(ValueError):
+        verify_theorem("L-FAILS", n_max=4)
 
 
 def test_fixture_sensitivity():

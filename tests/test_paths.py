@@ -10,7 +10,7 @@ from bruteforce import (
 )
 from convexgeom.enumeration import connected_graphs_upto
 from convexgeom.graphs import Graph, mask_of
-from convexgeom.paths import MODES, path_interval_rows, simple_paths
+from convexgeom.paths import MODES, path_interval_rows
 from test_graphs import random_graph
 
 
@@ -22,9 +22,7 @@ def naive_mode_paths(g, u, v, mode, min_len=0, max_len=None):
         if not min_len <= length <= top:
             continue
         chords = path_chords(g, path)
-        if mode == "all":
-            keep = True
-        elif mode == "induced":
+        if mode == "induced":
             keep = not chords
         elif mode == "strong":
             keep = is_even_chorded(g, path)
@@ -35,71 +33,69 @@ def naive_mode_paths(g, u, v, mode, min_len=0, max_len=None):
     return sorted(out)
 
 
-def test_simple_paths_against_naive():
-    for g in connected_graphs_upto(5):
-        for u in range(g.n):
-            for v in range(g.n):
-                for mode in MODES:
-                    got = sorted(simple_paths(g, u, v, mode))
-                    assert got == naive_mode_paths(g, u, v, mode), (g, u, v, mode)
+def naive_rows(g, u, mode, min_len=0, max_len=None):
+    """Row w is the union of the qualifying u-w paths; the trivial path is
+    never covered."""
+    rows = [0] * g.n
+    for w in range(g.n):
+        if w != u:
+            for path in naive_mode_paths(g, u, w, mode, min_len, max_len):
+                rows[w] |= mask_of(path)
+    return rows
 
 
 def test_length_windows_against_naive():
     rng = random.Random(41)
     for trial in range(30):
         g = random_graph(6, rng.random(), rng)
-        u, v = rng.randrange(6), rng.randrange(6)
+        u = rng.randrange(6)
         lo = rng.randrange(0, 4)
         hi = rng.randrange(lo, 6)
         for mode in MODES:
-            got = sorted(simple_paths(g, u, v, mode, min_len=lo, max_len=hi))
-            assert got == naive_mode_paths(g, u, v, mode, min_len=lo, max_len=hi)
+            got = path_interval_rows(g, u, mode, min_len=lo, max_len=hi)
+            assert got == naive_rows(g, u, mode, min_len=lo, max_len=hi)
 
 
 def test_degenerate_pairs():
     g = Graph.from_edge_list(3, [(0, 1), (1, 2)])
-    assert list(simple_paths(g, 1, 1)) == [(1,)]
-    assert list(simple_paths(g, 1, 1, min_len=1)) == []
-    assert list(simple_paths(g, 0, 2)) == [(0, 1, 2)]
+    assert path_interval_rows(g, 1, "induced") == [mask_of([0, 1]), 0,
+                                                  mask_of([1, 2])]
+    assert path_interval_rows(g, 0, "induced")[2] == mask_of([0, 1, 2])
+    assert path_interval_rows(g, 0, "induced", min_len=3)[2] == 0
     lonely = Graph.from_edge_list(2, [])
-    assert list(simple_paths(lonely, 0, 1)) == []
+    assert path_interval_rows(lonely, 0, "induced") == [0, 0]
 
 
 def test_mode_validation():
     g = Graph.from_edge_list(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        list(simple_paths(g, 0, 1, mode="bogus"))
+    for mode in ("bogus", "all"):
+        with pytest.raises(ValueError):
+            path_interval_rows(g, 0, mode)
 
 
 def test_strong_mode_examples():
-    # 4-cycle a,b,c,d plus chord a-c: path b,a,d has no chords; path b,c,d is
-    # also fine; but b,a,c,d would carry the chord b-c at the start vertex
+    # 4-cycle a,b,c,d plus chord a-c: paths b,a,d and b,c,d have no chords,
+    # while b,a,c,d and b,c,a,d carry a chord at the start vertex, so the
+    # b-d row is the union of the two short paths only
     g = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-    got = sorted(simple_paths(g, 1, 3, "strong"))
-    assert (1, 0, 2, 3) not in got and (1, 2, 0, 3) not in got
-    assert (1, 0, 3) in got and (1, 2, 3) in got
+    assert path_interval_rows(g, 1, "strong")[3] == mask_of([0, 1, 2, 3])
+    assert path_interval_rows(g, 1, "strong", min_len=3)[3] == 0
 
 
 def test_triangle_mode_example():
     # path 0,1,2,3 with chords 0-2 and 1-3 is a triangle path
     g = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
-    assert (0, 1, 2, 3) in list(simple_paths(g, 0, 3, "triangle"))
+    assert path_interval_rows(g, 0, "triangle", min_len=3)[3] == mask_of([0, 1, 2, 3])
     # a chord skipping two steps disqualifies under triangle mode
     h = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert (0, 1, 2, 3) not in list(simple_paths(h, 0, 3, "triangle"))
-    assert (0, 3) in list(simple_paths(h, 0, 3, "triangle"))
+    assert path_interval_rows(h, 0, "triangle", min_len=2)[3] == 0
+    assert path_interval_rows(h, 0, "triangle")[3] == mask_of([0, 3])
 
 
 def test_path_interval_rows_match_path_unions():
     for g in connected_graphs_upto(5):
-        for mode in ("all", "induced", "strong", "triangle"):
+        for mode in MODES:
             for lo, hi in ((0, None), (3, None), (0, 2)):
                 for u in range(g.n):
                     rows = path_interval_rows(g, u, mode, min_len=lo, max_len=hi)
-                    for w in range(g.n):
-                        want = 0
-                        for p in simple_paths(g, u, w, mode, min_len=lo, max_len=hi):
-                            want |= mask_of(p)
-                        if u == w:
-                            want = 0  # rows never cover the trivial path
-                        assert rows[w] == want, (g, mode, lo, hi, u, w)
+                    assert rows == naive_rows(g, u, mode, lo, hi), (g, mode, lo, hi, u)

@@ -32,7 +32,6 @@ from convexgeom.patterns import (
 )
 from convexgeom.recognizers import (
     CLASS_KINDS,
-    consecutive_orderings,
     diam_at_most,
     end_simplicial_vertices,
     find_asteroidal_triple,
@@ -254,29 +253,20 @@ def test_maximal_cliques_against_naive():
 
 def test_clique_order_examples():
     assert len(maximal_cliques(P4)) == 3
-    assert len(list(consecutive_orderings(P4))) == 2       # one order + reversal
+    assert len(naive_consecutive_orders(P4)) == 2       # one order + reversal
     assert maximal_cliques(K3) == [K3.vertex_set()]
-    assert len(list(consecutive_orderings(K3))) == 1
+    assert len(naive_consecutive_orders(K3)) == 1
     assert len(maximal_cliques(cycle_graph(4))) == 4
-    assert list(consecutive_orderings(cycle_graph(4))) == []
-
-
-def test_consecutive_orderings_against_naive():
-    for g in connected_graphs_upto(5):
-        got = sorted(consecutive_orderings(g))
-        want = sorted(naive_consecutive_orders(g))
-        assert got == want, g
+    assert naive_consecutive_orders(cycle_graph(4)) == []
 
 
 def test_clique_guard():
-    # complete 4-partite graph with doubleton parts: 16 maximal cliques
-    parts = [(0, 1), (2, 3), (4, 5), (6, 7)]
-    edges = [(u, v) for i, p in enumerate(parts) for q in parts[i + 1:]
-             for u in p for v in q]
-    g = Graph.from_edge_list(8, edges)
-    assert len(maximal_cliques(g)) == 16
+    # P14 is an interval graph with 13 maximal cliques (its edges)
+    g = path_graph(14)
+    assert is_interval(g) and len(maximal_cliques(g)) == 13
     with pytest.raises(CapacityError):
-        list(consecutive_orderings(g))
+        end_simplicial_vertices(g)
+    assert end_simplicial_vertices(g, max_cliques=13) == mask_of([0, 13])
 
 
 def test_end_simplicial_examples():
@@ -300,7 +290,7 @@ def test_end_simplicial_against_orderings():
             continue
         want = 0
         simp = simplicial_vertices(g)
-        for order in consecutive_orderings(g):
+        for order in naive_consecutive_orders(g):
             for v in iter_bits(simp):
                 if (order[0] | order[-1]) & bit(v):
                     home = g.adj[v] | bit(v)
