@@ -15,12 +15,23 @@ from .graphs import EXPONENTIAL_GUARD, Graph, bit, iter_bits
 def _refine_colors(adj):
     """Refined vertex colors of the graph with adjacency list adj.  Each
     color is an isomorphism invariant, and a lower degree means a lower
-    color."""
+    color.
+
+    Each round numbers the vertices by (color, sorted neighbor colors).  The
+    sorted tuple is replaced by minus the sum of (n+1)^(n - color) over the
+    neighbors: colors lie in 0..n-1 and counts stay below n+1, so the sum
+    holds each color's count in its own base-(n+1) digit, lower colors in
+    higher digits.  Equal colors mean equal degree, and between two sorted
+    tuples of one length the lesser is the one with more of the first color
+    where the counts differ, so both keys sort alike."""
+    n = len(adj)
     nbrs = [list(iter_bits(row)) for row in adj]
     colors = [len(ns) for ns in nbrs]
     count = len(set(colors))
+    powers = [(n + 1) ** (n - c) for c in range(n)]
     while True:
-        keys = [(colors[v], tuple(sorted([colors[w] for w in ns])))
+        weight = [powers[c] for c in colors]
+        keys = [(colors[v], -sum([weight[w] for w in ns]))
                 for v, ns in enumerate(nbrs)]
         distinct = sorted(set(keys))
         order = {k: i for i, k in enumerate(distinct)}

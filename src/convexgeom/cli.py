@@ -216,7 +216,7 @@ def _cmd_verify(args):
 
 def _cmd_verify_lemma(args):
     resolve_lemma(args.lemma)
-    result = verify_lemma(args.lemma, n_max=args.max_n)
+    result = verify_lemma(args.lemma, n_max=args.max_n, jobs=args.jobs)
     summary = result.summary()
     if args.json:
         print(json.dumps({"command": "verify-lemma", "summary": summary,
@@ -355,6 +355,7 @@ def build_parser():
     sub = subs.add_parser("verify-lemma", help="exhaustively check a lemma entry")
     sub.add_argument("--lemma", required=True, help="registry id, e.g. L-HOWORKA")
     sub.add_argument("--max-n", type=int, help="largest vertex count")
+    sub.add_argument("--jobs", type=int, default=1, help="parallel worker count")
     sub.add_argument("--json", action="store_true", help="structured output")
     sub.set_defaults(func=_cmd_verify_lemma)
 

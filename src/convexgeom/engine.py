@@ -12,6 +12,9 @@ Above the guard no table is built and the single-set queries (hull,
 is_convex, expand_once, extreme_vertices) compute E per query instead, with
 the same answers.  Both geometry tests scan subsets in ascending bitmask
 order, so reports are deterministic for a fixed graph labeling.
+vertex_set_is_hull_of_extremes checks the one set V with no table; a graph
+that fails it is no convex geometry, which lets a sweep that needs only the
+verdict skip the scan.
 """
 
 from dataclasses import dataclass
@@ -117,15 +120,9 @@ def expansion_table(g, spec):
     return tuple(_interval_expansion(g, spec))
 
 
-def _step(g, spec, s):
-    """The expansion step as a mask -> mask function, after checking that s
-    is a vertex set of g; the step itself checks nothing, so a fixpoint
-    validates once.  Only g.n selects between the table and the step
-    computed per query."""
-    if s < 0 or s & ~g.vertex_set():
-        raise ValueError(f"vertex set {s:#x} is not a subset of the {g.n} vertices")
-    if g.n <= EXPONENTIAL_GUARD:
-        return expansion_table(g, spec).__getitem__
+def _query_step(g, spec):
+    """The expansion step computed per query, with no table: the pairwise
+    interval union, or one pass over the closure rules.  It checks nothing."""
     if spec.kind not in CLOSURE_KINDS:
         return interval_step(g, spec)
     rules = closure_rules(g, spec)
@@ -137,6 +134,18 @@ def _step(g, spec, s):
                 out |= added
         return out
     return fire
+
+
+def _step(g, spec, s):
+    """The expansion step as a mask -> mask function, after checking that s
+    is a vertex set of g; the step itself checks nothing, so a fixpoint
+    validates once.  Only g.n selects between the table and the step
+    computed per query."""
+    if s < 0 or s & ~g.vertex_set():
+        raise ValueError(f"vertex set {s:#x} is not a subset of the {g.n} vertices")
+    if g.n <= EXPONENTIAL_GUARD:
+        return expansion_table(g, spec).__getitem__
+    return _query_step(g, spec)
 
 
 def _fixpoint(step, s):
@@ -218,6 +227,28 @@ class GeometryReport:
                 "extremes": names(self.extremes),
                 "hull_of_extremes": names(self.hull_of_extremes),
                 "antiexchange_witness": witness}
+
+
+def vertex_set_is_hull_of_extremes(g, spec):
+    """Whether the whole vertex set V is the hull of its extreme vertices,
+    without the 2^n table.  V is always convex, so False means g is no
+    convex geometry (is_convex_geometry_mkm reports False on it, possibly
+    for a smaller set first).  x is extreme in V iff V - x is convex, that
+    is iff x lies inside no interval I(a, b) with a, b != x, or, for closure
+    kinds, is added by no rule whose trigger avoids x."""
+    inner = 0
+    if spec.kind in CLOSURE_KINDS:
+        for trigger, added in closure_rules(g, spec):
+            inner |= added & ~trigger
+    else:
+        n = g.n
+        t = interval_table(g, spec)
+        for a in range(n):
+            ba = 1 << a
+            for b in range(a + 1, n):
+                inner |= t[a * n + b] & ~(ba | 1 << b)
+    full = g.vertex_set()
+    return _fixpoint(_query_step(g, spec), full & ~inner) == full
 
 
 def is_convex_geometry_mkm(g, spec):

@@ -32,9 +32,9 @@ S1 to S2.  So S1 and S2 lie in one orbit, and only one of them is tried.
 """
 
 from functools import lru_cache
+from operator import itemgetter
 
-from .canon import (_refine_colors, canonical_form, canonical_search,
-                    decode_canonical_form)
+from .canon import _refine_colors, canonical_form, canonical_search
 from .errors import CapacityError
 from .graphs import Graph, iter_bits
 
@@ -104,8 +104,9 @@ def _orbit_representatives(m, generators):
 
 
 def _augmentations(parent):
-    """The canonical forms of the children of parent that canonical
-    augmentation accepts."""
+    """(canonical form, graph) for each child of parent that canonical
+    augmentation accepts; the graph is the child relabelled by its
+    canonical order, which is the graph its form encodes."""
     p_adj = parent.adj
     v = len(p_adj)
     generators = canonical_search(p_adj, _refine_colors(p_adj))[2]
@@ -129,21 +130,33 @@ def _augmentations(parent):
         seen = bytearray(len(adj))
         _close(w, auts, seen)
         if seen[v]:
-            yield form
+            # Graph.relabel would need the unlabelled child built and
+            # validated as a Graph first
+            label = [0] * len(adj)
+            for i, x in enumerate(order):
+                label[x] = i
+            yield form, Graph(len(adj), [sum([1 << label[y] for y in iter_bits(adj[x])])
+                                         for x in order])
 
 
 @lru_cache(maxsize=None)
-def _canonical_keys(n):
+def _level(n):
+    """(canonical keys, the graphs they encode) on n vertices, both sorted
+    by key; built once per process."""
     if n == 1:
-        return (canonical_form(Graph(1, (0,))),)
-    return tuple(sorted(form for parent in _graphs(n - 1)
-                        for form in _augmentations(parent)))
+        g = Graph(1, (0,))
+        return (canonical_form(g),), (g,)
+    children = sorted((child for parent in _graphs(n - 1)
+                       for child in _augmentations(parent)), key=itemgetter(0))
+    return tuple(zip(*children))
 
 
-@lru_cache(maxsize=None)
+def _canonical_keys(n):
+    return _level(n)[0]
+
+
 def _graphs(n):
-    """The decoded graphs of _canonical_keys(n), built once per process."""
-    return tuple(decode_canonical_form(key) for key in _canonical_keys(n))
+    return _level(n)[1]
 
 
 def connected_graphs(n):

@@ -16,8 +16,28 @@ def bit(i):
     return 1 << i
 
 
+def _bit_tuples(width):
+    """The set bit positions of every mask below 2^width, by doubling: the
+    masks from 2^i up to 2^(i+1) are those below 2^i plus bit i."""
+    table = [()]
+    for i in range(width):
+        table += [t + (i,) for t in table]
+    return tuple(table)
+
+
+# every vertex set of a graph within the subset-scan guard
+_BITS = _bit_tuples(EXPONENTIAL_GUARD)
+
+
 def iter_bits(mask):
-    """Yield set bit positions of mask in ascending order."""
+    """Iterator over the set bit positions of mask in ascending order."""
+    if 0 <= mask < len(_BITS):
+        return iter(_BITS[mask])
+    return _iter_bits_loop(mask)
+
+
+def _iter_bits_loop(mask):
+    """iter_bits above the table: split off the lowest set bit each time."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -9,16 +9,18 @@ be re-verified from scratch.
 """
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from .engine import (GeometryReport, all_convex_sets, extreme_vertices, hull,
-                     is_convex_geometry_mkm, satisfies_antiexchange)
+                     is_convex_geometry_mkm, satisfies_antiexchange,
+                     vertex_set_is_hull_of_extremes)
 from .enumeration import connected_graphs_upto
 from .fixtures import SEVEN_FIXTURE, delete_vertex
-from .graphs import (bit, emit_graph6, induced_subgraph, iter_bits,
-                     parse_graph6, vertices_of)
+from .graphs import (EXPONENTIAL_GUARD, bit, emit_graph6, induced_subgraph,
+                     iter_bits, parse_graph6, vertices_of)
 from .patterns import CLAW, K3, kuratowski_family, odd_cycle_family
 from .recognizers import (diam_at_most, end_simplicial_vertices,
                           free_of_family, is_bipartite, is_chordal,
@@ -46,11 +48,23 @@ class TheoremEntry:
 
     def evaluate(self, g):
         """(geometry verdict, class verdict, witness or None when the
-        statement holds on g)."""
+        statement holds on g).
+
+        A False geometry verdict violates nothing when g is outside the
+        class or the direction is onlyIf, so then a graph whose vertex set
+        is not the hull of its extremes is settled without the full scan;
+        V is convex, so the scan would report False too.  Above the guard
+        the scan runs and refuses, as it always has."""
         spec = self.spec_for(g.n)
-        report = GeometryReport(True, "mkm") if spec is None else is_convex_geometry_mkm(g, spec)
-        geo = report.verdict
         cls = bool(self.class_check(g))
+        if spec is None:
+            report = GeometryReport(True, "mkm")
+        elif ((not cls or self.direction == "onlyIf") and g.n <= EXPONENTIAL_GUARD
+              and not vertex_set_is_hull_of_extremes(g, spec)):
+            return False, cls, None
+        else:
+            report = is_convex_geometry_mkm(g, spec)
+        geo = report.verdict
         violated = (geo != cls) if self.direction == "iff" else (geo and not cls)
         return geo, cls, report.to_dict() if violated else None
 
@@ -351,6 +365,10 @@ def _chunk(ident, graphs):
 
 
 def _sweep(entry, n_max, jobs, graphs):
+    """Sweep one entry; jobs > 1 splits the graphs over a process pool of at
+    most os.cpu_count() workers."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if graphs is None:
         if n_max is None:
             n_max = entry.default_n_max
@@ -360,8 +378,9 @@ def _sweep(entry, n_max, jobs, graphs):
         if n_max is None:
             n_max = max((g.n for g in graphs), default=0)
     result = VerifyResult(entry.ident, n_max, len(graphs), 0, 0)
-    if jobs > 1 and len(graphs) > 1:
-        chunks = [graphs[i::jobs] for i in range(jobs) if graphs[i::jobs]]
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1 and len(graphs) > 1:
+        chunks = [graphs[i::workers] for i in range(workers) if graphs[i::workers]]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(partial(_chunk, entry.ident), chunks))
     else:
@@ -380,9 +399,9 @@ def verify_theorem(ident, n_max=None, jobs=1, graphs=None):
     return _sweep(resolve_theorem(ident), n_max, jobs, graphs)
 
 
-def verify_lemma(ident, n_max=None, graphs=None):
+def verify_lemma(ident, n_max=None, graphs=None, jobs=1):
     """Check one lemma entry over its domain; certificates mark violations."""
-    return _sweep(resolve_lemma(ident), n_max, 1, graphs)
+    return _sweep(resolve_lemma(ident), n_max, jobs, graphs)
 
 
 # --- certificates on disk -----------------------------------------------------------

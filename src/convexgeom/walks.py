@@ -111,18 +111,18 @@ def interval_table(g, spec):
         raise UnsupportedOracleError(
             f"{spec.kind} is a closure-rule convexity with no interval oracle")
     n = g.n
+    adj = g.adj
+    kind = spec.kind
+    # every interval holds its endpoints; a p3 interval is exactly the
+    # endpoints plus their common neighbors, so it is final after this pass
     t = [0] * (n * n)
     for u in range(n):
-        t[u * n + u] = bit(u)
+        bu = 1 << u
+        common = adj[u] if kind == "p3" else 0
+        t[u * n + u] = bu
         for v in range(u + 1, n):
-            t[u * n + v] = t[v * n + u] = bit(u) | bit(v)
-    kind = spec.kind
-    if kind == "p3":
-        for u in range(n):
-            for v in range(u + 1, n):
-                m = bit(u) | bit(v) | (g.adj[u] & g.adj[v])
-                t[u * n + v] = t[v * n + u] = m
-    elif kind == "geodetic":
+            t[u * n + v] = t[v * n + u] = bu | 1 << v | (common & adj[v])
+    if kind == "geodetic":
         dist = [distances_from(g, u) for u in range(n)]
         for u in range(n):
             du = dist[u]

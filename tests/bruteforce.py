@@ -7,8 +7,8 @@ The exceptions are the canonical-form helpers and the three oracles at the
 bottom.  The helpers wrap the library's canonical form for tests that need a
 representative or a prefilter key.  The scan oracle starts from the
 library's interval tables and closure rules (checked against the literal
-definitions above elsewhere) to test the expansion table and the geometry
-scans built on top of them.  The enumeration oracle deduplicates every
+definitions above elsewhere) to test the expansion table, the geometry
+scans built on top of them and the table-free whole-set test.  The enumeration oracle deduplicates every
 one-vertex extension by the library's canonical form (checked against
 permutation isomorphism elsewhere) to test the enumerator's canonical
 augmentation.  The embedding oracle finds cycles, P4s, houses, dominoes and
@@ -425,6 +425,47 @@ def naive_antiexchange(g, spec):
                     return GeometryReport(False, "antiexchange",
                                           antiexchange_witness=(s, x, y))
     return GeometryReport(True, "antiexchange")
+
+
+def naive_whole_set_passes(g, spec):
+    """hull(ext(V)) = V, with ext(V) and the hull from the scan oracle's step."""
+    expand = naive_expander(g, spec)
+    full = g.vertex_set()
+    ext = 0
+    for x in range(g.n):
+        t = full & ~bit(x)
+        if expand(t) == t:
+            ext |= bit(x)
+    h = ext
+    while expand(h) != h:
+        h = expand(h)
+    return h == full
+
+
+# --- bit and color helpers ----------------------------------------------------
+
+
+def naive_bits(mask):
+    """Set bit positions of a nonnegative mask, ascending, one test per bit."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def naive_refine_colors(adj):
+    """Color refinement as it stood before the weighted-sum key: each round
+    numbers the vertices by (color, sorted tuple of neighbor colors)."""
+    nbrs = [naive_bits(row) for row in adj]
+    colors = [len(ns) for ns in nbrs]
+    count = len(set(colors))
+    while True:
+        keys = [(colors[v], tuple(sorted(colors[w] for w in ns)))
+                for v, ns in enumerate(nbrs)]
+        distinct = sorted(set(keys))
+        order = {k: i for i, k in enumerate(distinct)}
+        new = [order[k] for k in keys]
+        if len(distinct) in (count, len(adj)):
+            return new
+        colors = new
+        count = len(distinct)
 
 
 # --- canonical-form helpers -------------------------------------------------

@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 
 from bruteforce import (canonical_graph, iso_invariant, naive_automorphisms,
-                        naive_is_isomorphic)
+                        naive_is_isomorphic, naive_refine_colors)
 from convexgeom.canon import (
     _refine_colors,
     canonical_form,
@@ -13,7 +13,7 @@ from convexgeom.canon import (
     decode_canonical_form,
     is_isomorphic,
 )
-from convexgeom.enumeration import connected_graphs
+from convexgeom.enumeration import connected_graphs, connected_graphs_upto
 from convexgeom.errors import CapacityError
 from convexgeom.graphs import Graph
 from convexgeom.patterns import complete_graph, cycle_graph
@@ -158,3 +158,14 @@ def test_search_order_is_the_canonical_labeling():
             label[v] = i
         assert form == canonical_form(g)
         assert g.relabel(label) == decode_canonical_form(form)
+
+
+def test_refine_colors_matches_sorted_tuple_oracle():
+    # n = 8 is the first order with graphs where a weight base too small to
+    # hold every count (base 2 instead of n + 1) changes the colors
+    for g in connected_graphs_upto(8):
+        assert _refine_colors(g.adj) == naive_refine_colors(g.adj), g
+    rng = random.Random(29)
+    for trial in range(300):
+        g = random_graph(rng.randrange(0, 13), rng.random(), rng)
+        assert _refine_colors(g.adj) == naive_refine_colors(g.adj), g

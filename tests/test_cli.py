@@ -206,6 +206,19 @@ def test_verify_lemma(capsys):
     assert code == 2
 
 
+def test_verify_jobs(capsys):
+    for command in (["verify", "--theorem", "T-MONO"],
+                    ["verify-lemma", "--lemma", "L-HOWORKA"]):
+        code, out, err = run_cli(capsys, *command, "--max-n", "5", "--json")
+        assert code == 0
+        assert run_cli(capsys, *command, "--max-n", "5", "--json",
+                       "--jobs", "2") == (code, out, err)
+        for jobs in ("0", "-3"):
+            code, out, err = run_cli(capsys, *command, "--jobs", jobs)
+            assert code == 2 and out == ""
+            assert "jobs must be at least 1" in err
+
+
 def test_fixtures_command(capsys):
     code, out, err = run_cli(capsys, "fixtures")
     assert code == 0

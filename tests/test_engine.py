@@ -10,6 +10,7 @@ from bruteforce import (
     naive_hull,
     naive_mkm,
     naive_p4plus_convex,
+    naive_whole_set_passes,
 )
 from convexgeom.engine import (
     GeometryReport,
@@ -22,11 +23,13 @@ from convexgeom.engine import (
     is_convex,
     is_convex_geometry_mkm,
     satisfies_antiexchange,
+    vertex_set_is_hull_of_extremes,
 )
 from convexgeom.enumeration import connected_graphs, connected_graphs_upto
 from convexgeom.errors import CapacityError
 from convexgeom.fixtures import GEM_FIXTURE, SEVEN_FIXTURE, delete_vertex
 from convexgeom.graphs import EXPONENTIAL_GUARD, Graph, bit, mask_of
+from convexgeom.harness import _odd_cycle_spec
 from convexgeom.patterns import CLAW, K3, P4, cycle_graph, path_graph, star_graph
 from convexgeom.recognizers import semisimplicial_vertices, simplicial_vertices
 from convexgeom.walks import (
@@ -354,3 +357,26 @@ def test_single_set_queries_reject_foreign_masks(fn, n):
         for bad in (-1, -8, 1 << n, (1 << n) | 1):
             with pytest.raises(ValueError):
                 fn(g, spec, bad)
+
+
+def test_whole_set_test_matches_scan_oracle():
+    for g in connected_graphs_upto(6):
+        specs = all_kinds(g.n) + [lk(4), lk(5), f_free((K3, CLAW))]
+        if _odd_cycle_spec(g.n) is not None:
+            specs.append(_odd_cycle_spec(g.n))
+        for spec in specs:
+            passes = vertex_set_is_hull_of_extremes(g, spec)
+            assert passes == naive_whole_set_passes(g, spec), (g, spec.name)
+            if not passes:
+                assert not naive_mkm(g, spec).verdict, (g, spec.name)
+
+
+def test_whole_set_test_above_guard():
+    # isolated vertices are extreme and generate nothing, so padding keeps
+    # the answer; no 2^n table may be built on the way
+    n = EXPONENTIAL_GUARD + 1
+    for g in connected_graphs_upto(5):
+        big = padded(g, n)
+        for spec in all_kinds(n):
+            assert vertex_set_is_hull_of_extremes(big, spec) == \
+                vertex_set_is_hull_of_extremes(g, spec), (g, spec.name)

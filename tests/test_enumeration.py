@@ -4,11 +4,12 @@ import networkx as nx
 import pytest
 
 from bruteforce import naive_canonical_keys, naive_is_isomorphic
-from convexgeom.canon import canonical_form
+from convexgeom.canon import canonical_form, decode_canonical_form
 from convexgeom.enumeration import (
     CONNECTED_COUNTS,
     ENUMERATION_LIMIT,
     _canonical_keys,
+    _graphs,
     _passes_deletion_rule,
     connected_graphs,
     connected_graphs_upto,
@@ -47,6 +48,15 @@ KEY_DIGESTS = {
 @pytest.mark.parametrize("n", sorted(KEY_DIGESTS))
 def test_keys_byte_identical(n):
     assert hashlib.sha256(b"".join(_canonical_keys(n))).hexdigest() == KEY_DIGESTS[n]
+
+
+def test_graphs_are_the_decoded_keys():
+    for n in range(1, 9):
+        keys = _canonical_keys(n)
+        graphs = _graphs(n)
+        assert len(graphs) == len(keys)
+        for key, g in zip(keys, graphs):
+            assert g == decode_canonical_form(key)
 
 
 def test_members_are_connected_and_distinct():

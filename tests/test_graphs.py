@@ -1,12 +1,12 @@
 import math
 import pickle
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import networkx as nx
 import pytest
 
-from bruteforce import floyd_warshall
+from bruteforce import floyd_warshall, naive_bits
 from convexgeom.errors import Graph6ParseError, GraphInputError
 from convexgeom.fixtures import SEVEN_FIXTURE, delete_vertex
 from convexgeom.graphs import (
@@ -40,6 +40,19 @@ def labeled_graphs(n):
 def random_graph(n, p, rng):
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edge_list(n, edges)
+
+
+def test_iter_bits_matches_bit_loop():
+    for mask in range(1 << 12):
+        assert list(iter_bits(mask)) == naive_bits(mask)
+    rng = random.Random(31)
+    for trial in range(2000):
+        mask = rng.getrandbits(rng.randrange(1, 33))
+        assert list(iter_bits(mask)) == naive_bits(mask)
+    it = iter_bits(0b1010)
+    assert next(it) == 1 and list(it) == [3]
+    # a negative mask stays an endless loop, never a table row
+    assert list(islice(iter_bits(-1), 13)) == list(range(13))
 
 
 def test_mask_helpers():

@@ -1,10 +1,16 @@
 import json
+import os
 
 import pytest
 
+from convexgeom import harness
+from convexgeom.engine import (GeometryReport, is_convex_geometry_mkm,
+                               vertex_set_is_hull_of_extremes)
 from convexgeom.enumeration import connected_graphs_upto
+from convexgeom.errors import CapacityError
 from convexgeom.fixtures import SEVEN_FIXTURE
-from convexgeom.graphs import Graph, emit_graph6, parse_graph6
+from convexgeom.graphs import EXPONENTIAL_GUARD, Graph, emit_graph6, parse_graph6
+from convexgeom.patterns import path_graph
 from convexgeom.recognizers import is_chordal
 from convexgeom.harness import (
     INVERTED_PREFIX,
@@ -264,3 +270,102 @@ def test_theorem_certificate_graphs_parse():
         assert set(cert["witness"]) == {"verdict", "mode", "violating_set",
                                         "extremes", "hull_of_extremes",
                                         "antiexchange_witness"}
+
+
+def _full_scan_evaluate(entry, g):
+    """TheoremEntry.evaluate without the whole-set test: the full MKM scan
+    on every graph."""
+    spec = entry.spec_for(g.n)
+    report = GeometryReport(True, "mkm") if spec is None else is_convex_geometry_mkm(g, spec)
+    geo = report.verdict
+    cls = bool(entry.class_check(g))
+    violated = (geo != cls) if entry.direction == "iff" else (geo and not cls)
+    return geo, cls, report.to_dict() if violated else None
+
+
+def test_evaluate_matches_full_scan():
+    graphs = connected_graphs_upto(6)
+    for ident in THEOREMS:
+        for entry in (resolve_theorem(ident), resolve_theorem(INVERTED_PREFIX + ident)):
+            for g in graphs:
+                assert entry.evaluate(g) == _full_scan_evaluate(entry, g), \
+                    (entry.ident, emit_graph6(g))
+
+
+def test_evaluate_scans_only_where_a_certificate_can_follow(monkeypatch):
+    scanned = []
+
+    def spy(g, spec):
+        scanned.append(g)
+        return is_convex_geometry_mkm(g, spec)
+    monkeypatch.setattr(harness, "is_convex_geometry_mkm", spy)
+    skipped = 0
+    for ident in ("T-P3", INVERTED_PREFIX + "T-P3", "T-LK-NEC-3", "C-BIP"):
+        entry = resolve_theorem(ident)
+        for g in connected_graphs_upto(6):
+            scanned.clear()
+            _, cls, _ = entry.evaluate(g)
+            spec = entry.spec_for(g.n)
+            needed = spec is not None and (
+                (cls and entry.direction == "iff")
+                or vertex_set_is_hull_of_extremes(g, spec))
+            assert len(scanned) == needed, (ident, emit_graph6(g))
+            skipped += spec is not None and not needed
+    assert skipped > 0
+
+
+def test_evaluate_above_guard_still_refuses():
+    # P13 fails the whole-set test and is no star forest, but the verdict
+    # comes from the full scan, which refuses 13 vertices as it always has
+    g = path_graph(EXPONENTIAL_GUARD + 1)
+    entry = resolve_theorem("T-P3")
+    assert not vertex_set_is_hull_of_extremes(g, entry.spec_for(g.n))
+    with pytest.raises(CapacityError):
+        entry.evaluate(g)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by an in-process stand-in; the list collects
+    the max_workers of every pool the sweep asks for."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    theorem = verify_theorem(INVERTED_PREFIX + "T-MONO", n_max=5)
+    lemma = verify_lemma("L-HOWORKA", n_max=5)
+    for jobs in (2, 3, 1000):
+        parallel = verify_theorem(INVERTED_PREFIX + "T-MONO", n_max=5, jobs=jobs)
+        assert parallel.summary() == theorem.summary()
+        assert certificate_lines(parallel.certificates) == \
+            certificate_lines(theorem.certificates)
+        assert verify_lemma("L-HOWORKA", n_max=5, jobs=jobs).summary() == lemma.summary()
+    assert pool_sizes == [2] * 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    verify_theorem("T-MONO", n_max=5, jobs=4)
+    assert pool_sizes == [2] * 6
+
+
+def test_jobs_below_one_rejected(pool_sizes):
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            verify_theorem("T-MONO", n_max=3, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            verify_lemma("L-HOWORKA", n_max=3, jobs=jobs)
+    assert pool_sizes == []
