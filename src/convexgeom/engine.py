@@ -124,9 +124,12 @@ def _query_step(g, spec):
     """The expansion step computed per query, with no table: the pairwise
     interval union, or one pass over the closure rules.  It checks nothing."""
     if spec.kind not in CLOSURE_KINDS:
-        return interval_step(g, spec)
-    rules = closure_rules(g, spec)
+        return interval_step(interval_table(g, spec), g.n)
+    return _rule_step(closure_rules(g, spec))
 
+
+def _rule_step(rules):
+    """S plus whatever the (trigger, added) rules inside S add."""
     def fire(s):
         out = s
         for trigger, added in rules:
@@ -196,6 +199,16 @@ def all_convex_sets(g, spec):
     return [s for s, t in enumerate(expansion_table(g, spec)) if s == t]
 
 
+def convex_sets_with_extremes(g, spec):
+    """(S, extreme vertices of S) for every convex set S, ascending by
+    bitmask, read off the expansion table."""
+    e = expansion_table(g, spec)
+    step = e.__getitem__
+    for s, t in enumerate(e):
+        if t == s:
+            yield s, _extremes(step, s)
+
+
 @dataclass(frozen=True)
 class GeometryReport:
     """Outcome of a convex-geometry test with witness data on failure."""
@@ -238,8 +251,10 @@ def vertex_set_is_hull_of_extremes(g, spec):
     kinds, is added by no rule whose trigger avoids x."""
     inner = 0
     if spec.kind in CLOSURE_KINDS:
-        for trigger, added in closure_rules(g, spec):
+        rules = closure_rules(g, spec)
+        for trigger, added in rules:
             inner |= added & ~trigger
+        step = _rule_step(rules)
     else:
         n = g.n
         t = interval_table(g, spec)
@@ -247,19 +262,16 @@ def vertex_set_is_hull_of_extremes(g, spec):
             ba = 1 << a
             for b in range(a + 1, n):
                 inner |= t[a * n + b] & ~(ba | 1 << b)
+        step = interval_step(t, n)
     full = g.vertex_set()
-    return _fixpoint(_query_step(g, spec), full & ~inner) == full
+    return _fixpoint(step, full & ~inner) == full
 
 
 def is_convex_geometry_mkm(g, spec):
     """Every convex set must equal the hull of its extreme vertices; reports
     the first (ascending mask order) violating convex set otherwise."""
-    e = expansion_table(g, spec)
-    step = e.__getitem__
-    for s, t in enumerate(e):
-        if t != s:
-            continue
-        ext = _extremes(step, s)
+    step = expansion_table(g, spec).__getitem__
+    for s, ext in convex_sets_with_extremes(g, spec):
         h = _fixpoint(step, ext)
         if h != s:
             return GeometryReport(False, "mkm", violating_set=s,

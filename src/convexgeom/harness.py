@@ -14,9 +14,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from .engine import (GeometryReport, all_convex_sets, extreme_vertices, hull,
-                     is_convex_geometry_mkm, satisfies_antiexchange,
-                     vertex_set_is_hull_of_extremes)
+from .engine import (GeometryReport, convex_sets_with_extremes,
+                     extreme_vertices, hull, is_convex_geometry_mkm,
+                     satisfies_antiexchange, vertex_set_is_hull_of_extremes)
 from .enumeration import connected_graphs_upto
 from .fixtures import SEVEN_FIXTURE, delete_vertex
 from .graphs import (EXPONENTIAL_GUARD, bit, emit_graph6, induced_subgraph,
@@ -194,8 +194,7 @@ def _names(mask):
 def _extremes_match(g, spec, target, exact=True):
     """Across every convex set S: extreme vertices equal (or refine, when
     exact=False) the target vertex set computed on G[S]."""
-    for s in all_convex_sets(g, spec):
-        ext = extreme_vertices(g, spec, s)
+    for s, ext in convex_sets_with_extremes(g, spec):
         want = target(g, s)
         bad = (ext != want) if exact else (ext & ~want)
         if bad:

@@ -1,82 +1,129 @@
-"""Path intervals under chord rules, by backtracking over simple paths.
+"""Path intervals under chord rules, by a depth-first search over path states.
 
-Chord rules are evaluated incrementally: a chord is inspected the moment its
-later endpoint enters the path, so branches that can never qualify are cut
-immediately.  Endpoint-dependent conditions (the even-chorded rule bans
-chords at both ends) are applied when a path is read off at its current
-endpoint, since extending the path can turn an endpoint into an interior
-vertex and re-legalize it.
+A row only needs the union of the vertex sets of the qualifying paths per
+endpoint, so the search never lists paths.  Whether a path may grow by one
+vertex w, and whether the longer path qualifies, depends only on a small
+state, and the length is popcount(mask) - 1, so min_len and max_len need
+no state of their own.  Each search keeps a ban mask: the path plus the
+neighbours of every path vertex a chord to the next vertex may not reach.
+The candidates for w are then the neighbours of the last vertex outside it.
 
 Modes:
-  induced   no chords at all
-  strong    no odd chord (odd positional distance > 1), no chord at either end
-  triangle  chords only between vertices at positional distance exactly 2
+  induced   no chords at all.  State: (vertex mask, last vertex).  An
+            induced path from the source is fixed by its vertex set and its
+            endpoint, so no two paths share a state and no seen-set is kept.
+  strong    no odd chord (odd positional distance > 1), no chord at either
+            end.  State: (the vertices whose positions have the parity of
+            the last vertex's, the other vertices, last vertex).  A chord
+            from w to the source, or to a vertex of the last vertex's parity
+            (an odd chord), is never legalized later; a path is recorded
+            only when w has no chord at all, since extending it can turn the
+            endpoint into an interior vertex and re-legalize an even chord
+            there.
+  triangle  chords only between vertices at positional distance exactly 2.
+            State: (vertex mask, second-last vertex, last vertex), since a
+            chord from w may go only to the second-last vertex.
+The strong and triangle searches merge the paths that reach one state
+through a seen-set of states.  Only states on five or more vertices enter
+it: with the source and the last two vertices fixed, a smaller state is
+reached by one path only (for strong, the parity sets place the one
+remaining interior vertex).
 """
 
-from .graphs import bit, iter_bits
+from .graphs import iter_bits
 
 MODES = ("induced", "strong", "triangle")
 
 
-def _strong_extension_ok(path, w, chords):
-    # path holds positions 0..i-1; w lands at position i
-    if not chords:
-        return True
-    i = len(path)
-    pos = {x: j for j, x in enumerate(path)}
-    for x in iter_bits(chords):
-        j = pos[x]
-        if j == 0:
-            return False          # chord at the start vertex never legalizes
-        if (i - j) % 2 == 1:
-            return False          # odd chord
-    return True
+def _induced_rows(adj, source, min_len, max_len, rows):
+    # ban = mask plus the neighbours of every path vertex but the last
+    stack = [(1 << source, source, 1 << source)]
+    while stack:
+        mask, last, ban = stack.pop()
+        length = mask.bit_count()         # of each one-vertex extension
+        record = length >= min_len
+        grow = length < max_len
+        child_ban = ban | adj[last]
+        for w in iter_bits(adj[last] & ~ban):
+            m = mask | 1 << w
+            if record:
+                rows[w] |= m
+            if grow:
+                stack.append((m, w, child_ban))
 
 
-def _triangle_extension_ok(path, chords):
-    if not chords:
-        return True
-    i = len(path)
-    allowed = bit(path[i - 2]) if i >= 2 else 0
-    return chords & ~allowed == 0
+def _triangle_rows(adj, source, min_len, max_len, rows):
+    # ban = mask plus the neighbours of every path vertex but the last two
+    n = len(adj)
+    seen = set()
+    stack = [(1 << source, source, source, 1 << source)]
+    while stack:
+        mask, second, last, ban = stack.pop()
+        length = mask.bit_count()
+        record = length >= min_len
+        grow = length < max_len
+        child_ban = ban if second == last else ban | adj[second]
+        for w in iter_bits(adj[last] & ~ban):
+            m = mask | 1 << w
+            if record:
+                rows[w] |= m
+            if grow:
+                if length >= 4:
+                    key = (m * n + last) * n + w
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                stack.append((m, last, w, child_ban | 1 << w))
+
+
+def _strong_rows(adj, source, min_len, max_len, rows):
+    # same / other: the path vertices with the last vertex's parity and the
+    # rest; near: the neighbours of same minus the last vertex; near_other:
+    # the neighbours of other
+    n = len(adj)
+    seen = set()
+    banned_by_source = adj[source]
+    stack = [(1 << source, 0, source, 0, 0)]
+    while stack:
+        same, other, last, near, near_other = stack.pop()
+        mask = same | other
+        length = mask.bit_count()
+        record = length >= min_len
+        grow = length < max_len
+        ban = mask | near
+        if last != source:
+            ban |= banned_by_source
+        lastbit = 1 << last
+        child_near_other = near | adj[last]
+        for w in iter_bits(adj[last] & ~ban):
+            bw = 1 << w
+            if record and adj[w] & mask == lastbit:
+                rows[w] |= mask | bw
+            if grow:
+                child_same = other | bw
+                if length >= 4:
+                    key = ((child_same << n) | same) * n + w
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                stack.append((child_same, same, w, near_other,
+                              child_near_other))
+
+
+_SEARCH = {"induced": _induced_rows, "strong": _strong_rows,
+           "triangle": _triangle_rows}
 
 
 def path_interval_rows(g, source, mode, min_len=0, max_len=None):
     """For one source, OR together the vertex masks of qualifying paths per
-    endpoint; rows[w] covers all qualifying source-w paths.  The paths are
-    never materialized."""
+    endpoint; rows[w] covers all qualifying source-w paths of length in
+    [min_len, max_len].  The paths are never materialized."""
     if mode not in MODES:
         raise ValueError(f"unknown path mode {mode!r}")
     n = g.n
     rows = [0] * n
     if max_len is None:
         max_len = n - 1
-    adj = g.adj
-    path = [source]
-
-    def extend(last, pmask, rest_allowed, depth):
-        if depth >= max_len:
-            return
-        for w in iter_bits(adj[last] & rest_allowed):
-            bw = bit(w)
-            chords = adj[w] & pmask & ~bit(last)
-            if mode == "induced":
-                if chords:
-                    continue
-                qualifies = depth + 1 >= min_len
-            elif mode == "strong":
-                if not _strong_extension_ok(path, w, chords):
-                    continue
-                qualifies = chords == 0 and depth + 1 >= min_len
-            else:
-                if not _triangle_extension_ok(path, chords):
-                    continue
-                qualifies = depth + 1 >= min_len
-            path.append(w)
-            if qualifies:
-                rows[w] |= pmask | bw
-            extend(w, pmask | bw, rest_allowed & ~bw, depth + 1)
-            path.pop()
-
-    extend(source, bit(source), g.vertex_set() & ~bit(source), 0)
+    if max_len > 0:
+        _SEARCH[mode](g.adj, source, min_len, max_len, rows)
     return rows

@@ -8,6 +8,7 @@ patterns.induced_cycles, which no geometry side of T-M3 uses; cographs stay
 on the embedding search, because C-P4PLUS's geometry side uses induced_p4s.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import CapacityError
@@ -341,9 +342,12 @@ def maximal_cliques(g):
     return sorted(out)
 
 
+@lru_cache(maxsize=1 << 12)
 def end_simplicial_vertices(g, max_cliques=12):
     """Simplicial vertices whose unique maximal clique can open some
-    consecutive clique ordering (realizable with an end interval)."""
+    consecutive clique ordering (realizable with an end interval).  Cached
+    per graph, since the toll lemmas ask again for the same induced
+    subgraphs; a refused graph raises again on every call."""
     if not is_interval(g):
         raise ValueError("end_simplicial_vertices requires an interval graph")
     cliques = maximal_cliques(g)

@@ -141,7 +141,8 @@ def interval_table(g, spec):
             mode, min_len, max_len = "induced", 0, spec.k
         else:
             mode, min_len, max_len = _PATH_MODE[kind]
-        for u in range(n):
+        # only rows v > u are read, so the last source has nothing to add
+        for u in range(n - 1):
             rows = path_interval_rows(g, u, mode, min_len=min_len, max_len=max_len)
             for v in range(u + 1, n):
                 if rows[v]:
@@ -171,14 +172,12 @@ def interval_of_set(g, spec, members):
     if members < 0 or members & ~g.vertex_set():
         raise ValueError(
             f"vertex set {members:#x} is not a subset of the {g.n} vertices")
-    return interval_step(g, spec)(members)
+    return interval_step(interval_table(g, spec), g.n)(members)
 
 
-def interval_step(g, spec):
-    """S -> I(S) as a function over one interval table.  It does not check
-    its masks: callers pass vertex sets of g."""
-    t = interval_table(g, spec)
-    n = g.n
+def interval_step(t, n):
+    """S -> I(S) as a function over the interval table t of an n-vertex
+    graph.  It does not check its masks: callers pass vertex sets."""
 
     def step(members):
         out = members

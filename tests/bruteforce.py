@@ -3,7 +3,8 @@
 Everything here is a literal transcription of a definition: permutation
 isomorphism, explicit path and walk enumeration, subset scans.  No shortcuts,
 no shared code with the library beyond the Graph container, tiny sizes only.
-The exceptions are the canonical-form helpers and the three oracles at the
+backtracking_path_rows walks every qualifying path one at a time, to test
+the library's search over path states.  The exceptions are the canonical-form helpers and the three oracles at the
 bottom.  The helpers wrap the library's canonical form for tests that need a
 representative or a prefilter key.  The scan oracle starts from the
 library's interval tables and closure rules (checked against the literal
@@ -95,6 +96,48 @@ def is_even_chorded(g, path):
 
 def is_triangle_path(g, path):
     return all(j - i == 2 for i, j in path_chords(g, path))
+
+
+def backtracking_path_rows(g, source, mode, min_len=0, max_len=None):
+    """paths.path_interval_rows by backtracking over every qualifying path,
+    with the chord rules checked as each vertex joins: a chord is inspected
+    when its later endpoint enters the path.  The strong rule's ban on a
+    chord at the endpoint is applied when a path is read off, since
+    extending the path can turn the endpoint into an interior vertex."""
+    n = g.n
+    rows = [0] * n
+    if max_len is None:
+        max_len = n - 1
+    adj = g.adj
+    path = [source]
+
+    def extension_ok(w, chords):
+        i = len(path)                    # w lands at position i
+        if mode == "induced":
+            return not chords
+        if mode == "strong":
+            for j, x in enumerate(path):
+                if chords & bit(x) and (j == 0 or (i - j) % 2 == 1):
+                    return False
+            return True
+        allowed = bit(path[i - 2]) if i >= 2 else 0
+        return chords & ~allowed == 0
+
+    def extend(last, pmask, depth):
+        if depth >= max_len:
+            return
+        for w in iter_bits(adj[last] & ~pmask):
+            chords = adj[w] & pmask & ~bit(last)
+            if not extension_ok(w, chords):
+                continue
+            path.append(w)
+            if depth + 1 >= min_len and (mode != "strong" or not chords):
+                rows[w] |= pmask | bit(w)
+            extend(w, pmask | bit(w), depth + 1)
+            path.pop()
+
+    extend(source, bit(source), 0)
+    return rows
 
 
 def all_walks(g, u, max_len):

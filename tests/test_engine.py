@@ -16,6 +16,7 @@ from convexgeom.engine import (
     GeometryReport,
     all_convex_sets,
     closure_rules,
+    convex_sets_with_extremes,
     expand_once,
     expansion_table,
     extreme_vertices,
@@ -35,6 +36,7 @@ from convexgeom.recognizers import semisimplicial_vertices, simplicial_vertices
 from convexgeom.walks import (
     f_free,
     geodetic,
+    interval_table,
     lk,
     m3,
     monophonic,
@@ -144,6 +146,14 @@ def test_convex_sets_axioms():
             for a in sets:
                 for b in sets:
                     assert a & b in present, (g, spec.name, a, b)
+
+
+def test_convex_sets_with_extremes_match_single_set_queries():
+    for g in connected_graphs_upto(5):
+        for spec in all_kinds(g.n):
+            want = [(s, extreme_vertices(g, spec, s))
+                    for s in all_convex_sets(g, spec)]
+            assert list(convex_sets_with_extremes(g, spec)) == want, (g, spec.name)
 
 
 def test_hull_extensive_monotone_idempotent():
@@ -293,6 +303,8 @@ def test_capacity_guard():
     with pytest.raises(CapacityError):
         all_convex_sets(big, geodetic())
     with pytest.raises(CapacityError):
+        list(convex_sets_with_extremes(big, geodetic()))
+    with pytest.raises(CapacityError):
         is_convex_geometry_mkm(big, geodetic())
     with pytest.raises(CapacityError):
         satisfies_antiexchange(big, geodetic())
@@ -380,3 +392,14 @@ def test_whole_set_test_above_guard():
         for spec in all_kinds(n):
             assert vertex_set_is_hull_of_extremes(big, spec) == \
                 vertex_set_is_hull_of_extremes(g, spec), (g, spec.name)
+
+
+def test_whole_set_test_fetches_its_table_once():
+    # the hull step is built from the interval table or the closure rules
+    # already in hand, so a cold call is one cache miss and no hit
+    g = cycle_graph(6)
+    for spec, cached in ((geodetic(), interval_table), (p4plus(), closure_rules)):
+        cached.cache_clear()
+        vertex_set_is_hull_of_extremes(g, spec)
+        info = cached.cache_info()
+        assert (info.hits, info.misses) == (0, 1), spec.name

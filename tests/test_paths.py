@@ -4,6 +4,7 @@ import pytest
 
 from bruteforce import (
     all_simple_paths,
+    backtracking_path_rows,
     is_even_chorded,
     is_triangle_path,
     path_chords,
@@ -99,3 +100,31 @@ def test_path_interval_rows_match_path_unions():
                 for u in range(g.n):
                     rows = path_interval_rows(g, u, mode, min_len=lo, max_len=hi)
                     assert rows == naive_rows(g, u, mode, lo, hi), (g, mode, lo, hi, u)
+
+
+WINDOWS = ((0, None), (3, None), (5, None), (0, 2), (2, 4), (1, 1), (4, 6))
+
+
+def test_path_state_search_matches_backtracking_exhaustive():
+    # every source of every connected graph with n <= 7, every mode and
+    # several length windows
+    for g in connected_graphs_upto(7):
+        for mode in MODES:
+            for lo, hi in WINDOWS:
+                for u in range(g.n):
+                    got = path_interval_rows(g, u, mode, min_len=lo, max_len=hi)
+                    want = backtracking_path_rows(g, u, mode, lo, hi)
+                    assert got == want, (g, mode, lo, hi, u)
+
+
+def test_path_state_search_matches_backtracking_random():
+    rng = random.Random(11)
+    for trial in range(120):
+        n = rng.randrange(8, 15)
+        g = random_graph(n, rng.uniform(0.1, 0.9), rng)
+        for mode in MODES:
+            lo, hi = rng.choice(WINDOWS)
+            for u in range(n):
+                got = path_interval_rows(g, u, mode, min_len=lo, max_len=hi)
+                want = backtracking_path_rows(g, u, mode, lo, hi)
+                assert got == want, (g, mode, lo, hi, u)

@@ -282,6 +282,20 @@ def test_end_simplicial_requires_interval_graph():
     assert "interval" in str(err.value)
 
 
+def test_end_simplicial_guards_hold_on_repeated_calls():
+    # the per-graph cache keeps answers only: a refused graph is refused on
+    # every call, and an answer under a raised clique guard does not leak
+    # into a call with the default guard
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            end_simplicial_vertices(cycle_graph(4))
+        with pytest.raises(CapacityError):
+            end_simplicial_vertices(path_graph(14))
+    assert end_simplicial_vertices(path_graph(14), max_cliques=13) == mask_of([0, 13])
+    with pytest.raises(CapacityError):
+        end_simplicial_vertices(path_graph(14))
+
+
 def test_end_simplicial_against_orderings():
     # independent reading: v is end simplicial iff some consecutive ordering
     # opens or closes with a clique containing v
