@@ -26,10 +26,9 @@ from .harness import (LEMMAS, THEOREMS, VerifyResult,
 from .recognizers import (end_simplicial_vertices, find_asteroidal_triple,
                           maximal_cliques, recognize, semisimplicial_vertices,
                           simple_vertices, simplicial_vertices)
-from .walks import (ConvexitySpec, bounded_walk_oracle, f_free, geodetic,
-                    interval, interval_of_set, interval_table, lk, m3,
-                    monophonic, p3, p4plus, strong, toll, triangle_path,
-                    weakly_toll)
+from .walks import (ConvexitySpec, f_free, geodetic, interval,
+                    interval_of_set, interval_table, lk, m3, monophonic, p3,
+                    p4plus, strong, toll, triangle_path, weakly_toll)
 
 __version__ = "0.1.0"
 
@@ -38,7 +37,7 @@ __all__ = [
     "GEM_FIXTURE_LABELS", "GeometryReport", "Graph", "Graph6ParseError",
     "GraphInputError", "LEMMAS", "SEVEN_FIXTURE", "SEVEN_FIXTURE_LABELS",
     "THEOREMS", "UnsupportedOracleError", "VerifyResult", "all_convex_sets",
-    "bounded_walk_oracle", "canonical_form", "components",
+    "canonical_form", "components",
     "connected_graphs", "connected_graphs_upto", "delete_vertex", "diameter",
     "distances", "emit_edge_list", "emit_graph6",
     "end_simplicial_vertices", "expand_once", "extreme_vertices", "f_free",

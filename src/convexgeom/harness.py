@@ -31,8 +31,9 @@ from .recognizers import (diam_at_most, end_simplicial_vertices,
                           is_strongly_chordal, is_weakly_polarizable,
                           semisimplicial_vertices, simple_vertices,
                           simplicial_vertices)
-from .walks import (f_free, geodetic, interval_table, lk, m3, monophonic, p3,
-                    p4plus, strong, toll, triangle_path, weakly_toll)
+from .walks import (f_free, geodetic, interval_of_set, interval_table, lk, m3,
+                    monophonic, p3, p4plus, strong, toll, triangle_path,
+                    weakly_toll)
 
 INVERTED_PREFIX = "X-INV-"
 
@@ -212,23 +213,14 @@ def _end_simplicial_within(g, members):
     return out
 
 
-def _covered_by_pairs(g, spec, anchors, vertex):
-    table = interval_table(g, spec)
-    pool = list(iter_bits(anchors))
-    bv = bit(vertex)
-    for i, s1 in enumerate(pool):
-        for s2 in pool[i + 1:]:
-            if table[s1 * g.n + s2] & bv:
-                return True
-    return False
-
-
 def _check_cover(g, spec, anchors_fn):
-    """Every non-anchor vertex must lie in the interval of some anchor pair."""
+    """Every non-anchor vertex must lie in the interval of some anchor pair;
+    the witness is the lowest vertex outside I(anchors)."""
     anchors = anchors_fn(g)
-    for v in iter_bits(g.vertex_set() & ~anchors):
-        if not _covered_by_pairs(g, spec, anchors, v):
-            return False, {"vertex": v, "anchors": _names(anchors)}
+    missing = g.vertex_set() & ~interval_of_set(g, spec, anchors)
+    if missing:
+        return False, {"vertex": (missing & -missing).bit_length() - 1,
+                       "anchors": _names(anchors)}
     return True, None
 
 
@@ -368,6 +360,8 @@ def _sweep(entry, n_max, jobs, graphs):
     most os.cpu_count() workers."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if graphs is None:
         if n_max is None:
             n_max = entry.default_n_max

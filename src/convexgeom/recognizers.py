@@ -72,13 +72,15 @@ def _collect(g, sub, pred):
 # --- chordality family --------------------------------------------------------
 
 
-def is_chordal(g):
-    """Greedy simplicial elimination; sound because chordality is hereditary
-    and removing a simplicial vertex preserves it."""
+def _eliminates(g, vertex_test):
+    """Greedy elimination: remove any vertex passing vertex_test(g, sub, v)
+    until none is left.  Sound for a hereditary class whose members are the
+    graphs with such an elimination ordering, since removing a passing vertex
+    keeps the rest inside the class."""
     sub = g.vertex_set()
     while sub:
         for v in iter_bits(sub):
-            if _is_simplicial_in(g, sub, v):
+            if vertex_test(g, sub, v):
                 sub &= ~bit(v)
                 break
         else:
@@ -86,52 +88,19 @@ def is_chordal(g):
     return True
 
 
+def is_chordal(g):
+    """A simplicial elimination ordering exists."""
+    return _eliminates(g, _is_simplicial_in)
+
+
 def is_ptolemaic(g):
     return is_chordal(g) and contains_induced(g, GEM) is None
 
 
-def _iter_cycles(g, min_len):
-    """All simple cycles with >= min_len vertices as tuples, each exactly once
-    (rooted at the minimum vertex, direction fixed by second < last)."""
-    n = g.n
-    adj = g.adj
-    for root in range(n):
-        higher = g.vertex_set() & ~((1 << (root + 1)) - 1)
-        path = [root]
-
-        def extend(last, used):
-            for w in iter_bits(adj[last] & higher & ~used):
-                path.append(w)
-                if len(path) >= 3 and adj[w] & bit(root) and path[1] < w:
-                    if len(path) >= min_len:
-                        yield tuple(path)
-                yield from extend(w, used | bit(w))
-                path.pop()
-
-        yield from extend(root, bit(root))
-
-
-def _has_odd_chord(g, cycle):
-    length = len(cycle)
-    for i in range(length):
-        for j in range(i + 2, length):
-            d = j - i
-            if d == length - 1:
-                continue  # cycle edge, not a chord
-            if g.has_edge(cycle[i], cycle[j]) and d % 2 == 1:
-                return True
-    return False
-
-
 def is_strongly_chordal(g):
-    """Definitional check: chordal and every even cycle with >= 6 vertices
-    carries an odd chord (positions have equal parity along both arcs)."""
-    if not is_chordal(g):
-        return False
-    for cycle in _iter_cycles(g, 6):
-        if len(cycle) % 2 == 0 and not _has_odd_chord(g, cycle):
-            return False
-    return True
+    """A simple elimination ordering exists (Farber, 1983).  A simple vertex
+    is simplicial, so the ordering also certifies chordality."""
+    return _eliminates(g, _is_simple_in)
 
 
 def is_weakly_polarizable(g):

@@ -3,8 +3,8 @@
 Every path convexity gets I(u,v) = endpoints plus the union of qualifying
 p-walk vertex sets.  The toll and weakly toll intervals are computed by
 polynomial component-reachability decisions rather than walk search; the
-bounded walk oracle at the bottom exists purely to validate those decisions
-and is kept algorithmically independent of them.
+bounded walk oracle that validates them lives with the test oracles in
+tests/bruteforce.py and shares no code with them.
 """
 
 from dataclasses import dataclass, field
@@ -148,16 +148,11 @@ def interval_table(g, spec):
                 if rows[v]:
                     t[u * n + v] |= rows[v]
                     t[v * n + u] = t[u * n + v]
-    elif kind == "toll":
+    elif kind in _WALK_PAIR:
+        pair = _WALK_PAIR[kind]
         for u in range(n):
             for v in range(u + 1, n):
-                m = _toll_pair(g, u, v)
-                t[u * n + v] = t[v * n + u] = m
-    elif kind == "weaklyToll":
-        for u in range(n):
-            for v in range(u + 1, n):
-                m = _weakly_toll_pair(g, u, v)
-                t[u * n + v] = t[v * n + u] = m
+                t[u * n + v] = t[v * n + u] = pair(g, u, v)
     return tuple(t)
 
 
@@ -249,124 +244,4 @@ def _weakly_toll_pair(g, u, v):
     return res
 
 
-def toll_membership(g, u, v, x):
-    """True iff x lies on some tolled walk from u to v (endpoints included)."""
-    return bool(_toll_pair(g, u, v) & bit(x)) if u != v else x == u
-
-
-def weakly_toll_membership(g, u, v, x):
-    """True iff x lies on some weakly toll walk from u to v."""
-    return bool(_weakly_toll_pair(g, u, v) & bit(x)) if u != v else x == u
-
-
-# --- bounded walk oracle ------------------------------------------------------
-#
-# Validation-only.  Tolled-walk constraints are positional (only index 1 may
-# see N(u), only index k-1 may see N(v)), so for each length k a per-position
-# reachability sweep is exact.  Weakly toll constraints are identity based
-# (every N(u) occurrence equals the one vertex u1), so fixing the pair
-# (u1, u_{k-1}) = (a, b) turns the interior into plain reachability inside a
-# fixed allowed set, with no dependence on position or length.
-
-
-def default_walk_bound(g):
-    return 2 * g.n + 2
-
-
-def bounded_walk_hits(g, kind, u, v, max_len=None):
-    """Mask of all vertices on some qualifying walk of length <= max_len."""
-    if kind == "toll":
-        return _toll_walk_hits(g, u, v, max_len or default_walk_bound(g))
-    if kind == "weaklyToll":
-        return _weakly_toll_walk_hits(g, u, v, max_len or default_walk_bound(g))
-    raise ValueError(f"bounded walk oracle supports toll/weaklyToll, not {kind!r}")
-
-
-def bounded_walk_oracle(g, kind, u, v, x, max_len=None):
-    return bool(bounded_walk_hits(g, kind, u, v, max_len) & bit(x))
-
-
-def _neighbors_of(g, mask):
-    out = 0
-    for w in iter_bits(mask):
-        out |= g.adj[w]
-    return out
-
-
-def _toll_walk_hits(g, u, v, max_len):
-    if u == v:
-        return bit(u)
-    if g.adj[u] & bit(v):
-        # u_0 u_k is an edge, so k-1 = 0: the single edge is the only walk
-        return bit(u) | bit(v)
-    au, av = g.adj[u], g.adj[v]
-    not_uv = ~(bit(u) | bit(v))
-    hits = 0
-    for k in range(2, max_len + 1):
-        def allowed(i):
-            m = (au if i == 1 else ~au) & (av if i == k - 1 else ~av)
-            return m & not_uv & g.vertex_set()
-        fwd = [0] * k
-        fwd[0] = bit(u)
-        alive = True
-        for i in range(1, k):
-            fwd[i] = _neighbors_of(g, fwd[i - 1]) & allowed(i)
-            if not fwd[i]:
-                alive = False
-                break
-        if not alive:
-            continue
-        bwd = [0] * (k + 1)
-        bwd[k] = bit(v)
-        for i in range(k - 1, 0, -1):
-            bwd[i] = _neighbors_of(g, bwd[i + 1]) & allowed(i)
-            if not bwd[i]:
-                break
-        got = 0
-        for i in range(1, k):
-            got |= fwd[i] & bwd[i]
-        if got:
-            hits |= got | bit(u) | bit(v)
-    return hits
-
-
-def _weakly_toll_walk_hits(g, u, v, max_len):
-    if u == v:
-        return bit(u)
-    if g.adj[u] & bit(v):
-        # every interior occurrence collapses onto u1 = v and u_{k-1} = u,
-        # so walks alternate u,v and contribute nothing new
-        return bit(u) | bit(v)
-    au, av = g.adj[u], g.adj[v]
-    full = g.vertex_set()
-    hits = 0
-    for a in iter_bits(au):
-        ba = bit(a)
-        for b in iter_bits(av):
-            bb = bit(b)
-            if (av & ba and a != b) or (au & bb and a != b):
-                continue  # a or b would be a second distinct N-endpoint witness
-            allowed = (~au | ba) & (~av | bb) & full
-            fwd = [0, ba]
-            while len(fwd) <= max_len - 1:
-                nxt = _neighbors_of(g, fwd[-1]) & allowed
-                if not nxt:
-                    break
-                fwd.append(nxt)
-            bwd = [0, bb]
-            while len(bwd) <= max_len - 1:
-                nxt = _neighbors_of(g, bwd[-1]) & allowed
-                if not nxt:
-                    break
-                bwd.append(nxt)
-            cum_b = [0] * (max_len + 1)
-            for d in range(1, max_len + 1):
-                cum_b[d] = cum_b[d - 1] | (bwd[d] if d < len(bwd) else 0)
-            got = 0
-            for i in range(1, len(fwd)):
-                if i + 1 > max_len:
-                    break
-                got |= fwd[i] & cum_b[max_len - i]
-            if got:
-                hits |= got | bit(u) | bit(v)
-    return hits
+_WALK_PAIR = {"toll": _toll_pair, "weaklyToll": _weakly_toll_pair}

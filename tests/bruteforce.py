@@ -1,21 +1,25 @@
 """Naive reference implementations used as test oracles.
 
 Everything here is a literal transcription of a definition: permutation
-isomorphism, explicit path and walk enumeration, subset scans.  No shortcuts,
-no shared code with the library beyond the Graph container, tiny sizes only.
-backtracking_path_rows walks every qualifying path one at a time, to test
-the library's search over path states.  The exceptions are the canonical-form helpers and the three oracles at the
-bottom.  The helpers wrap the library's canonical form for tests that need a
-representative or a prefilter key.  The scan oracle starts from the
-library's interval tables and closure rules (checked against the literal
-definitions above elsewhere) to test the expansion table, the geometry
-scans built on top of them and the table-free whole-set test.  The enumeration oracle deduplicates every
-one-vertex extension by the library's canonical form (checked against
-permutation isomorphism elsewhere) to test the enumerator's canonical
-augmentation.  The embedding oracle finds cycles, P4s, houses, dominoes and
-As with the library's embedding search (checked against
-naive_contains_induced elsewhere) to test the direct cycle and P4
-enumerators and their callers.
+isomorphism, explicit path, walk and cycle enumeration, subset scans.  No
+shortcuts, no shared code with the library beyond the Graph container, tiny
+sizes only.  backtracking_path_rows walks every qualifying path one at a
+time, to test the library's search over path states.  The exceptions are the
+canonical-form helpers and the four oracles at the bottom.  The helpers wrap
+the library's canonical form for tests that need a representative or a
+prefilter key.  The scan oracle starts from the library's interval tables
+and closure rules (checked against the literal definitions above elsewhere)
+to test the expansion table, the geometry scans built on top of them, the
+table-free whole-set test and the cover lemmas' check.  The enumeration
+oracle deduplicates every one-vertex extension by the library's canonical
+form (checked against permutation isomorphism elsewhere) to test the
+enumerator's canonical augmentation.  The embedding oracle finds cycles,
+P4s, houses, dominoes and As with the library's embedding search (checked
+against naive_contains_induced elsewhere) to test the direct cycle and P4
+enumerators and their callers.  The bounded walk oracle decides toll and
+weakly toll membership by reachability sweeps per walk position, with no
+code in common with the library's component-based decisions; it reaches
+walk lengths that literal walk enumeration cannot.
 """
 
 import math
@@ -360,6 +364,47 @@ def _is_simple_within(g, sub, v):
                for i, a in enumerate(rows) for b in rows[i + 1:])
 
 
+def iter_cycles(g, min_len):
+    """All simple cycles with >= min_len vertices as tuples, each exactly once
+    (rooted at the minimum vertex, direction fixed by second < last)."""
+    adj = g.adj
+    for root in range(g.n):
+        higher = g.vertex_set() & ~((1 << (root + 1)) - 1)
+        path = [root]
+
+        def extend(last, used):
+            for w in iter_bits(adj[last] & higher & ~used):
+                path.append(w)
+                if len(path) >= 3 and adj[w] & bit(root) and path[1] < w:
+                    if len(path) >= min_len:
+                        yield tuple(path)
+                yield from extend(w, used | bit(w))
+                path.pop()
+
+        yield from extend(root, bit(root))
+
+
+def cycle_chord_spans(g, cycle):
+    """Distance along the cycle, j - i, of every chord cycle[i]-cycle[j]."""
+    length = len(cycle)
+    return [j - i for i in range(length) for j in range(i + 2, length)
+            if j - i != length - 1 and g.has_edge(cycle[i], cycle[j])]
+
+
+def strongly_chordal_by_cycles(g):
+    """The definition: every cycle on >= 4 vertices has a chord, and every
+    even cycle on >= 6 vertices has an odd chord (one whose ends lie an odd
+    distance apart along the cycle)."""
+    for cycle in iter_cycles(g, 4):
+        spans = cycle_chord_spans(g, cycle)
+        if not spans:
+            return False
+        if (len(cycle) >= 6 and len(cycle) % 2 == 0
+                and not any(d % 2 for d in spans)):
+            return False
+    return True
+
+
 def naive_semisimplicial_vertices(g):
     internal = 0
     for u in range(g.n):
@@ -470,6 +515,19 @@ def naive_antiexchange(g, spec):
     return GeometryReport(True, "antiexchange")
 
 
+def naive_cover(g, spec, anchors_fn):
+    """harness._check_cover as a loop over every non-anchor vertex and
+    every anchor pair of the interval table."""
+    table = interval_table(g, spec)
+    anchors = anchors_fn(g)
+    pool = list(iter_bits(anchors))
+    for v in iter_bits(g.vertex_set() & ~anchors):
+        if not any(table[s1 * g.n + s2] & bit(v)
+                   for i, s1 in enumerate(pool) for s2 in pool[i + 1:]):
+            return False, {"vertex": v, "anchors": list(iter_bits(anchors))}
+    return True, None
+
+
 def naive_whole_set_passes(g, spec):
     """hull(ext(V)) = V, with ext(V) and the hull from the scan oracle's step."""
     expand = naive_expander(g, spec)
@@ -573,3 +631,116 @@ def embedding_closure_rules(g, spec):
 def embedding_weakly_polarizable(g):
     holes = [cycle_graph(k) for k in range(5, g.n + 1)]
     return free_of_family(g, holes + [HOUSE, DOMINO, A_GRAPH])
+
+
+# --- bounded walk oracle ----------------------------------------------------
+#
+# Tolled-walk constraints are positional (only index 1 may see N(u), only
+# index k-1 may see N(v)), so for each length k a per-position reachability
+# sweep is exact.  Weakly toll constraints are identity based
+# (every N(u) occurrence equals the one vertex u1), so fixing the pair
+# (u1, u_{k-1}) = (a, b) turns the interior into plain reachability inside a
+# fixed allowed set, with no dependence on position or length.
+
+
+def default_walk_bound(g):
+    return 2 * g.n + 2
+
+
+def bounded_walk_hits(g, kind, u, v, max_len=None):
+    """Mask of all vertices on some qualifying walk of length <= max_len."""
+    if kind == "toll":
+        return _toll_walk_hits(g, u, v, max_len or default_walk_bound(g))
+    if kind == "weaklyToll":
+        return _weakly_toll_walk_hits(g, u, v, max_len or default_walk_bound(g))
+    raise ValueError(f"bounded walk oracle supports toll/weaklyToll, not {kind!r}")
+
+
+def bounded_walk_oracle(g, kind, u, v, x, max_len=None):
+    return bool(bounded_walk_hits(g, kind, u, v, max_len) & bit(x))
+
+
+def _neighbors_of(g, mask):
+    out = 0
+    for w in iter_bits(mask):
+        out |= g.adj[w]
+    return out
+
+
+def _toll_walk_hits(g, u, v, max_len):
+    if u == v:
+        return bit(u)
+    if g.adj[u] & bit(v):
+        # u_0 u_k is an edge, so k-1 = 0: the single edge is the only walk
+        return bit(u) | bit(v)
+    au, av = g.adj[u], g.adj[v]
+    not_uv = ~(bit(u) | bit(v))
+    hits = 0
+    for k in range(2, max_len + 1):
+        def allowed(i):
+            m = (au if i == 1 else ~au) & (av if i == k - 1 else ~av)
+            return m & not_uv & g.vertex_set()
+        fwd = [0] * k
+        fwd[0] = bit(u)
+        alive = True
+        for i in range(1, k):
+            fwd[i] = _neighbors_of(g, fwd[i - 1]) & allowed(i)
+            if not fwd[i]:
+                alive = False
+                break
+        if not alive:
+            continue
+        bwd = [0] * (k + 1)
+        bwd[k] = bit(v)
+        for i in range(k - 1, 0, -1):
+            bwd[i] = _neighbors_of(g, bwd[i + 1]) & allowed(i)
+            if not bwd[i]:
+                break
+        got = 0
+        for i in range(1, k):
+            got |= fwd[i] & bwd[i]
+        if got:
+            hits |= got | bit(u) | bit(v)
+    return hits
+
+
+def _weakly_toll_walk_hits(g, u, v, max_len):
+    if u == v:
+        return bit(u)
+    if g.adj[u] & bit(v):
+        # every interior occurrence collapses onto u1 = v and u_{k-1} = u,
+        # so walks alternate u,v and contribute nothing new
+        return bit(u) | bit(v)
+    au, av = g.adj[u], g.adj[v]
+    full = g.vertex_set()
+    hits = 0
+    for a in iter_bits(au):
+        ba = bit(a)
+        for b in iter_bits(av):
+            bb = bit(b)
+            if (av & ba and a != b) or (au & bb and a != b):
+                continue  # a or b would be a second distinct N-endpoint witness
+            allowed = (~au | ba) & (~av | bb) & full
+            fwd = [0, ba]
+            while len(fwd) <= max_len - 1:
+                nxt = _neighbors_of(g, fwd[-1]) & allowed
+                if not nxt:
+                    break
+                fwd.append(nxt)
+            bwd = [0, bb]
+            while len(bwd) <= max_len - 1:
+                nxt = _neighbors_of(g, bwd[-1]) & allowed
+                if not nxt:
+                    break
+                bwd.append(nxt)
+            cum_b = [0] * (max_len + 1)
+            for d in range(1, max_len + 1):
+                cum_b[d] = cum_b[d - 1] | (bwd[d] if d < len(bwd) else 0)
+            got = 0
+            for i in range(1, len(fwd)):
+                if i + 1 > max_len:
+                    break
+                got |= fwd[i] & cum_b[max_len - i]
+            if got:
+                hits |= got | bit(u) | bit(v)
+    return hits

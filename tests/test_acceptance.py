@@ -8,6 +8,7 @@ exhaustive n=8 sweeps of criterion 1.
 """
 import pytest
 
+from bruteforce import bounded_walk_hits, default_walk_bound
 from convexgeom.engine import extreme_vertices, hull, is_convex_geometry_mkm
 from convexgeom.enumeration import CONNECTED_COUNTS, connected_graphs
 from convexgeom.fixtures import GEM_FIXTURE, SEVEN_FIXTURE, delete_vertex
@@ -16,10 +17,8 @@ from convexgeom.harness import (LEMMAS, THEOREMS, certificate_lines,
                                 read_certificates, reverify_certificate,
                                 verify_lemma, verify_theorem,
                                 write_certificates)
-from convexgeom.walks import (bounded_walk_hits, default_walk_bound, geodetic,
-                              interval_table, lk, m3, monophonic,
-                              toll, toll_membership, triangle_path,
-                              weakly_toll, weakly_toll_membership)
+from convexgeom.walks import (geodetic, interval, interval_table, lk, m3,
+                              monophonic, toll, triangle_path, weakly_toll)
 
 from test_graphs import labeled_graphs
 
@@ -74,18 +73,15 @@ def test_criterion_4_gem_fixture():
 
 
 def test_criterion_5_walk_oracle_equivalence():
-    checks = (("toll", toll_membership), ("weaklyToll", weakly_toll_membership))
+    checks = (("toll", toll()), ("weaklyToll", weakly_toll()))
 
     def sweep(g, bound):
-        for kind, member in checks:
+        for kind, spec in checks:
             for u in range(g.n):
                 for v in range(g.n):
                     hits = bounded_walk_hits(g, kind, u, v, bound)
-                    want = 0
-                    for x in range(g.n):
-                        if member(g, u, v, x):
-                            want |= bit(x)
-                    assert hits == want, (emit_graph6(g), kind, u, v, bound)
+                    assert hits == interval(g, spec, u, v), (
+                        emit_graph6(g), kind, u, v, bound)
 
     for n in range(1, 8):
         for g in connected_graphs(n):

@@ -219,6 +219,16 @@ def test_verify_jobs(capsys):
             assert "jobs must be at least 1" in err
 
 
+def test_verify_max_n_below_one(capsys):
+    # a sweep over no graph must not read as a verified statement
+    for command in (["verify", "--theorem", "T-P3"],
+                    ["verify-lemma", "--lemma", "L-HOWORKA"]):
+        for max_n in ("0", "-1"):
+            code, out, err = run_cli(capsys, *command, "--max-n", max_n)
+            assert code == 2 and out == ""
+            assert "n_max must be at least 1" in err
+
+
 def test_fixtures_command(capsys):
     code, out, err = run_cli(capsys, "fixtures")
     assert code == 0

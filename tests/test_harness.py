@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from bruteforce import naive_cover
 from convexgeom import harness
 from convexgeom.engine import (GeometryReport, is_convex_geometry_mkm,
                                vertex_set_is_hull_of_extremes)
@@ -11,12 +12,16 @@ from convexgeom.errors import CapacityError
 from convexgeom.fixtures import SEVEN_FIXTURE
 from convexgeom.graphs import EXPONENTIAL_GUARD, Graph, emit_graph6, parse_graph6
 from convexgeom.patterns import path_graph
-from convexgeom.recognizers import is_chordal
+from convexgeom.recognizers import (end_simplicial_vertices, is_chordal,
+                                    is_interval, is_proper_interval,
+                                    is_strongly_chordal, simple_vertices)
+from convexgeom.walks import strong, toll, weakly_toll
 from convexgeom.harness import (
     INVERTED_PREFIX,
     LEMMAS,
     THEOREMS,
     LemmaEntry,
+    _check_cover,
     _odd_cycle_spec,
     certificate_lines,
     nonhereditary_fixture_check,
@@ -253,6 +258,26 @@ def test_failing_lemma_certificates(monkeypatch):
         assert not reverify_certificate(dict(cert, geometry=True))
     with pytest.raises(ValueError):
         verify_theorem("L-FAILS", n_max=4)
+
+
+def test_cover_check_matches_pairwise_loop():
+    # the three cover lemmas in their domains, and the strong one on every
+    # graph: outside the strongly chordal graphs it reaches the failure
+    # branch and its witness
+    covers = ((strong(), simple_vertices, is_strongly_chordal),
+              (toll(), end_simplicial_vertices, is_interval),
+              (weakly_toll(), end_simplicial_vertices, is_proper_interval))
+    failures = in_domain = 0
+    for g in connected_graphs_upto(7):
+        for spec, anchors_fn, domain in covers:
+            if spec != strong() and not domain(g):
+                continue
+            got = _check_cover(g, spec, anchors_fn)
+            assert got == naive_cover(g, spec, anchors_fn), (emit_graph6(g), spec)
+            failures += not got[0]
+            in_domain += domain(g)
+            assert got[0] or not domain(g)
+    assert (failures, in_domain) == (630, 794)
 
 
 def test_fixture_sensitivity():

@@ -1,10 +1,12 @@
-"""Source hygiene: every imported name is used by the module that imports it.
+"""Source hygiene: every imported name is used by the module that imports
+it, and no library function exists only for the tests.
 
-No linter is installed, so this stdlib AST scan guards src/ and tests/.
+No linter is installed, so these stdlib AST scans guard src/ and tests/.
 Names an __init__.py lists in __all__ count as used (re-exports).
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,12 +24,18 @@ def unused_imports(source, is_package_init=False):
             imported.update(a.asname or a.name for a in node.names if a.name != "*")
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     if is_package_init:
-        for node in tree.body:
-            if (isinstance(node, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "__all__"
-                            for t in node.targets)):
-                used.update(ast.literal_eval(node.value))
+        used |= _exported(tree)
     return sorted(imported - used)
+
+
+def _exported(tree):
+    """The names a module lists in __all__."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
 
 
 def test_scan_finds_unused_names():
@@ -45,3 +53,64 @@ def test_no_unused_imports():
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+def _references(path, tree):
+    """(name, module path, enclosing top-level definition or None) for every
+    name read, attribute taken or string constant in a module."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id, path, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, path, owner
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield node.value, path, owner
+
+
+def functions_only_tests_use(root=ROOT):
+    """Module-level functions of src/convexgeom that only tests use.  A use
+    is a reference from another src/ module or from its own module outside
+    its body, an __all__ entry, or a mention in demos/ or perfbench/."""
+    trees = {p: ast.parse(p.read_text()) for p in root.glob("src/convexgeom/*.py")}
+    outside = " ".join(p.read_text() for d in ("demos", "perfbench")
+                       for p in (root / d).glob("*.py"))
+    tests = " ".join(p.read_text() for p in (root / "tests").glob("*.py"))
+    exported = set().union(*map(_exported, trees.values()))
+    users = {}
+    for path, tree in trees.items():
+        for name, where, owner in _references(path, tree):
+            users.setdefault(name, set()).add((where, owner))
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            name = node.name
+            word = re.compile(rf"\b{name}\b")
+            used = (name in exported or word.search(outside)
+                    or users.get(name, set()) - {(path, name)})
+            if not used and word.search(tests):
+                found.append(f"{path.stem}.{name}")
+    return sorted(found)
+
+
+def test_scan_finds_test_only_functions(tmp_path):
+    src = tmp_path / "src" / "convexgeom"
+    src.mkdir(parents=True)
+    for folder in ("tests", "demos", "perfbench"):
+        (tmp_path / folder).mkdir()
+    (src / "a.py").write_text(
+        "def helper():\n    return helper\n\n\n"
+        "def used():\n    return 1\n\n\n"
+        "def shown():\n    return used()\n")
+    (tmp_path / "tests" / "test_a.py").write_text(
+        "from convexgeom.a import helper, shown, used\n")
+    assert functions_only_tests_use(tmp_path) == ["a.helper", "a.shown"]
+    (tmp_path / "demos" / "d.py").write_text("from convexgeom.a import shown\n")
+    assert functions_only_tests_use(tmp_path) == ["a.helper"]
+
+
+def test_no_test_only_functions():
+    assert functions_only_tests_use() == []

@@ -12,6 +12,7 @@ from bruteforce import (
     naive_maximal_cliques,
     naive_semisimplicial_vertices,
     naive_simple_vertices,
+    strongly_chordal_by_cycles,
     strongly_chordal_farber,
 )
 from convexgeom.enumeration import connected_graphs, connected_graphs_upto
@@ -111,11 +112,44 @@ def test_chordal_against_naive():
 
 
 def test_strongly_chordal_matches_farber():
-    for g in connected_graphs_upto(6):
-        assert is_strongly_chordal(g) == strongly_chordal_farber(g), g
-    rng = random.Random(109)
-    for g in rng.sample(connected_graphs(7), 60):
-        assert is_strongly_chordal(g) == strongly_chordal_farber(g), g
+    members = 0
+    for g in connected_graphs_upto(8):
+        got = is_strongly_chordal(g)
+        assert got == strongly_chordal_farber(g), g
+        assert got == strongly_chordal_by_cycles(g), g
+        members += got
+    assert members == 1841
+
+
+def random_chordal_graph(n, rng):
+    """Each new vertex joins a random clique inside the closed neighbourhood
+    of a random earlier vertex, so it is simplicial when it arrives."""
+    adj = [0]
+    for v in range(1, n):
+        w = rng.randrange(v)
+        clique = bit(w)
+        nbrs = list(iter_bits(adj[w]))
+        rng.shuffle(nbrs)
+        for u in nbrs:
+            if clique & ~adj[u] == 0 and rng.random() < 0.5:
+                clique |= bit(u)
+        adj.append(clique)
+        for u in iter_bits(clique):
+            adj[u] |= bit(v)
+    return Graph(n, adj)
+
+
+def test_strongly_chordal_matches_oracles_on_random_chordal_graphs():
+    rng = random.Random(2026)
+    verdicts = []
+    for _ in range(200):
+        g = random_chordal_graph(rng.randint(9, 12), rng)
+        assert is_chordal(g)
+        got = is_strongly_chordal(g)
+        assert got == strongly_chordal_farber(g), g
+        assert got == strongly_chordal_by_cycles(g), g
+        verdicts.append(got)
+    assert set(verdicts) == {True, False}
 
 
 def test_strongly_chordal_examples():

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from bruteforce import all_walks, is_tolled_walk, is_weakly_toll_walk, naive_interval
+from bruteforce import (all_walks, bounded_walk_hits, bounded_walk_oracle,
+                        default_walk_bound, is_tolled_walk,
+                        is_weakly_toll_walk, naive_interval)
 from convexgeom.enumeration import connected_graphs, connected_graphs_upto
 from convexgeom.errors import UnsupportedOracleError
 from convexgeom.fixtures import GEM_FIXTURE
@@ -13,9 +15,6 @@ from convexgeom.walks import (
     CLOSURE_KINDS,
     INTERVAL_KINDS,
     ConvexitySpec,
-    bounded_walk_hits,
-    bounded_walk_oracle,
-    default_walk_bound,
     f_free,
     geodetic,
     interval,
@@ -28,10 +27,8 @@ from convexgeom.walks import (
     p4plus,
     strong,
     toll,
-    toll_membership,
     triangle_path,
     weakly_toll,
-    weakly_toll_membership,
 )
 from test_graphs import random_graph
 
@@ -144,9 +141,9 @@ def test_toll_decisions_match_bounded_oracle_sampled():
         u = rng.randrange(6)
         v = (u + 1 + rng.randrange(5)) % 6
         for x in range(6):
-            assert toll_membership(g, u, v, x) == bounded_walk_oracle(g, "toll", u, v, x)
-            assert weakly_toll_membership(g, u, v, x) == \
-                bounded_walk_oracle(g, "weaklyToll", u, v, x)
+            for kind, spec in (("toll", toll()), ("weaklyToll", weakly_toll())):
+                assert bool(interval(g, spec, u, v) >> x & 1) == \
+                    bounded_walk_oracle(g, kind, u, v, x)
 
 
 def test_default_walk_bound():
@@ -194,16 +191,16 @@ def test_adjacent_lk_interval():
 
 def test_claw_toll_examples():
     claw = star_graph(3)  # center 0, leaves 1,2,3
-    assert not toll_membership(claw, 1, 2, 3)
-    assert weakly_toll_membership(claw, 1, 2, 3)
+    assert not interval(claw, toll(), 1, 2) >> 3 & 1
+    assert interval(claw, weakly_toll(), 1, 2) >> 3 & 1
     assert bounded_walk_oracle(claw, "weaklyToll", 1, 2, 3)
     assert not bounded_walk_oracle(claw, "toll", 1, 2, 3)
 
 
 def test_path_toll_examples():
     p4 = path_graph(4)
-    assert toll_membership(p4, 0, 3, 1)
-    assert weakly_toll_membership(p4, 0, 3, 2)
+    assert interval(p4, toll(), 0, 3) >> 1 & 1
+    assert interval(p4, weakly_toll(), 0, 3) >> 2 & 1
     p3_graph = path_graph(3)
     assert bounded_walk_oracle(p3_graph, "toll", 0, 2, 1)
 
@@ -211,8 +208,8 @@ def test_path_toll_examples():
 def test_adjacent_endpoints_admit_no_interior():
     p4 = path_graph(4)
     for x in (2, 3):
-        assert not toll_membership(p4, 0, 1, x)
-        assert not weakly_toll_membership(p4, 0, 1, x)
+        assert not interval(p4, toll(), 0, 1) >> x & 1
+        assert not interval(p4, weakly_toll(), 0, 1) >> x & 1
 
 
 def test_smallest_asteroidal_triple_graph_toll_walk():
@@ -226,7 +223,7 @@ def test_smallest_asteroidal_triple_graph_toll_walk():
     g, (a, b, c) = smallest
     assert g.n == 6
     # the AT construction threads a tolled walk through the middle vertex
-    assert toll_membership(g, a, c, b)
+    assert interval(g, toll(), a, c) >> b & 1
     assert bounded_walk_oracle(g, "toll", a, c, b)
 
 
