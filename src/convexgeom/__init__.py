@@ -26,9 +26,9 @@ from .harness import (LEMMAS, THEOREMS, VerifyResult,
 from .recognizers import (end_simplicial_vertices, find_asteroidal_triple,
                           maximal_cliques, recognize, semisimplicial_vertices,
                           simple_vertices, simplicial_vertices)
-from .walks import (ConvexitySpec, f_free, geodetic, interval,
-                    interval_of_set, interval_table, lk, m3, monophonic, p3,
-                    p4plus, strong, toll, triangle_path, weakly_toll)
+from .walks import (ConvexitySpec, f_free, geodetic, interval, interval_table,
+                    lk, m3, monophonic, p3, p4plus, strong, toll,
+                    triangle_path, weakly_toll)
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,7 @@ __all__ = [
     "distances", "emit_edge_list", "emit_graph6",
     "end_simplicial_vertices", "expand_once", "extreme_vertices", "f_free",
     "find_asteroidal_triple", "geodetic", "hull", "induced_subgraph",
-    "interval", "interval_of_set", "interval_table", "is_connected",
+    "interval", "interval_table", "is_connected",
     "is_convex", "is_convex_geometry_mkm", "is_isomorphic", "lk", "m3",
     "maximal_cliques", "monophonic", "nonhereditary_fixture_check", "p3",
     "p4plus", "parse_edge_list", "parse_graph6", "read_certificates",

@@ -5,16 +5,16 @@ pairs, or for the closure-rule convexities (fFree, p4plus), which have no
 interval oracle, S plus whatever precomputed trigger rules S fires.  A hull
 is the fixpoint reached by repeating E, and S is convex iff E(S) = S.
 
-For n <= EXPONENTIAL_GUARD (12), E is one cached table indexed by vertex
-subset, built in O(2^n) for interval kinds and O(n 2^n) for closure kinds;
-the subset scans (convex sets, MKM, antiexchange) read only that table.
-Above the guard no table is built and the single-set queries (hull,
-is_convex, expand_once, extreme_vertices) compute E per query instead, with
-the same answers.  Both geometry tests scan subsets in ascending bitmask
-order, so reports are deterministic for a fixed graph labeling.
-vertex_set_is_hull_of_extremes checks the one set V with no table; a graph
-that fails it is no convex geometry, which lets a sweep that needs only the
-verdict skip the scan.
+Every kind writes E as (trigger, added) rules: a closure rule, or a pair
+{a, b} whose interval adds a vertex.  The single-set queries (hull,
+is_convex, expand_once, extreme_vertices) and the whole-set test
+vertex_set_is_hull_of_extremes fire those rules at any graph size.  Only
+the subset scans (convex sets, MKM, antiexchange) read E off one cached
+table over all 2^n subsets, built for n <= EXPONENTIAL_GUARD (12) in O(2^n)
+for interval kinds and O(n 2^n) for closure kinds.  Both geometry tests
+scan subsets in ascending bitmask order, so reports are deterministic for a
+fixed graph labeling.  A graph that fails the whole-set test is no convex
+geometry, which lets a sweep that needs only the verdict skip the scan.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ from .errors import CapacityError
 from .graphs import (EXPONENTIAL_GUARD, bit, is_connected, iter_bits,
                      vertices_of)
 from .patterns import all_induced_occurrences, induced_cycles, induced_p4s
-from .walks import CLOSURE_KINDS, interval_step, interval_table
+from .walks import CLOSURE_KINDS, interval_table
 
 
 @lru_cache(maxsize=1 << 12)
@@ -120,12 +120,21 @@ def expansion_table(g, spec):
     return tuple(_interval_expansion(g, spec))
 
 
-def _query_step(g, spec):
-    """The expansion step computed per query, with no table: the pairwise
-    interval union, or one pass over the closure rules.  It checks nothing."""
-    if spec.kind not in CLOSURE_KINDS:
-        return interval_step(interval_table(g, spec), g.n)
-    return _rule_step(closure_rules(g, spec))
+@lru_cache(maxsize=None)
+def _pairs(n):
+    """(mask of {a, b}, index of I(a, b) in an n-vertex interval table) for
+    every pair a < b."""
+    return tuple((1 << a | 1 << b, a * n + b)
+                 for a in range(n) for b in range(a + 1, n))
+
+
+def _rules(g, spec):
+    """The expansion step as (trigger, added) pairs: the closure rules, or
+    ({a, b}, I(a, b)) for every pair whose interval adds a vertex."""
+    if spec.kind in CLOSURE_KINDS:
+        return closure_rules(g, spec)
+    t = interval_table(g, spec)
+    return [(pair, t[i]) for pair, i in _pairs(g.n) if t[i] != pair]
 
 
 def _rule_step(rules):
@@ -142,13 +151,10 @@ def _rule_step(rules):
 def _step(g, spec, s):
     """The expansion step as a mask -> mask function, after checking that s
     is a vertex set of g; the step itself checks nothing, so a fixpoint
-    validates once.  Only g.n selects between the table and the step
-    computed per query."""
+    validates once."""
     if s < 0 or s & ~g.vertex_set():
         raise ValueError(f"vertex set {s:#x} is not a subset of the {g.n} vertices")
-    if g.n <= EXPONENTIAL_GUARD:
-        return expansion_table(g, spec).__getitem__
-    return _query_step(g, spec)
+    return _rule_step(_rules(g, spec))
 
 
 def _fixpoint(step, s):
@@ -247,24 +253,13 @@ def vertex_set_is_hull_of_extremes(g, spec):
     without the 2^n table.  V is always convex, so False means g is no
     convex geometry (is_convex_geometry_mkm reports False on it, possibly
     for a smaller set first).  x is extreme in V iff V - x is convex, that
-    is iff x lies inside no interval I(a, b) with a, b != x, or, for closure
-    kinds, is added by no rule whose trigger avoids x."""
+    is iff no rule whose trigger avoids x adds x."""
+    rules = _rules(g, spec)
     inner = 0
-    if spec.kind in CLOSURE_KINDS:
-        rules = closure_rules(g, spec)
-        for trigger, added in rules:
-            inner |= added & ~trigger
-        step = _rule_step(rules)
-    else:
-        n = g.n
-        t = interval_table(g, spec)
-        for a in range(n):
-            ba = 1 << a
-            for b in range(a + 1, n):
-                inner |= t[a * n + b] & ~(ba | 1 << b)
-        step = interval_step(t, n)
+    for trigger, added in rules:
+        inner |= added & ~trigger
     full = g.vertex_set()
-    return _fixpoint(step, full & ~inner) == full
+    return _fixpoint(_rule_step(rules), full & ~inner) == full
 
 
 def is_convex_geometry_mkm(g, spec):

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from .engine import (GeometryReport, convex_sets_with_extremes,
+from .engine import (GeometryReport, convex_sets_with_extremes, expand_once,
                      extreme_vertices, hull, is_convex_geometry_mkm,
                      satisfies_antiexchange, vertex_set_is_hull_of_extremes)
 from .enumeration import connected_graphs_upto
@@ -31,9 +31,8 @@ from .recognizers import (diam_at_most, end_simplicial_vertices,
                           is_strongly_chordal, is_weakly_polarizable,
                           semisimplicial_vertices, simple_vertices,
                           simplicial_vertices)
-from .walks import (f_free, geodetic, interval_of_set, interval_table, lk, m3,
-                    monophonic, p3, p4plus, strong, toll, triangle_path,
-                    weakly_toll)
+from .walks import (f_free, geodetic, interval_table, lk, m3, monophonic, p3,
+                    p4plus, strong, toll, triangle_path, weakly_toll)
 
 INVERTED_PREFIX = "X-INV-"
 
@@ -217,7 +216,7 @@ def _check_cover(g, spec, anchors_fn):
     """Every non-anchor vertex must lie in the interval of some anchor pair;
     the witness is the lowest vertex outside I(anchors)."""
     anchors = anchors_fn(g)
-    missing = g.vertex_set() & ~interval_of_set(g, spec, anchors)
+    missing = g.vertex_set() & ~expand_once(g, spec, anchors)
     if missing:
         return False, {"vertex": (missing & -missing).bit_length() - 1,
                        "anchors": _names(anchors)}
@@ -368,8 +367,10 @@ def _sweep(entry, n_max, jobs, graphs):
         graphs = connected_graphs_upto(n_max)
     else:
         graphs = list(graphs)
+        if not graphs:
+            raise ValueError("no graphs to sweep")
         if n_max is None:
-            n_max = max((g.n for g in graphs), default=0)
+            n_max = max(g.n for g in graphs)
     result = VerifyResult(entry.ident, n_max, len(graphs), 0, 0)
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1 and len(graphs) > 1:

@@ -405,30 +405,27 @@ def free_of_family(g, family):
     return all(p.n > g.n or contains_induced(g, p) is None for p in family)
 
 
-CLASS_KINDS = ("chordal", "ptolemaic", "stronglyChordal", "weaklyPolarizable",
-               "interval", "properInterval", "cograph", "chordalCograph",
-               "forest", "forestOfStars", "bipartite", "planarDesk",
-               "l3Characterization", "diamAtMost")
+_RECOGNIZERS = {"chordal": is_chordal,
+                "ptolemaic": is_ptolemaic,
+                "stronglyChordal": is_strongly_chordal,
+                "weaklyPolarizable": is_weakly_polarizable,
+                "interval": is_interval,
+                "properInterval": is_proper_interval,
+                "cograph": is_cograph,
+                "chordalCograph": is_chordal_cograph,
+                "forest": is_forest,
+                "forestOfStars": is_forest_of_stars,
+                "bipartite": is_bipartite,
+                "planarDesk": is_planar_desk,
+                "l3Characterization": is_l3_characterization}
+CLASS_KINDS = (*_RECOGNIZERS, "diamAtMost")
 
 
 def recognize(g, kind, k=None):
-    table = {"chordal": is_chordal,
-             "ptolemaic": is_ptolemaic,
-             "stronglyChordal": is_strongly_chordal,
-             "weaklyPolarizable": is_weakly_polarizable,
-             "interval": is_interval,
-             "properInterval": is_proper_interval,
-             "cograph": is_cograph,
-             "chordalCograph": is_chordal_cograph,
-             "forest": is_forest,
-             "forestOfStars": is_forest_of_stars,
-             "bipartite": is_bipartite,
-             "planarDesk": is_planar_desk,
-             "l3Characterization": is_l3_characterization}
     if kind == "diamAtMost":
         if k is None:
             raise ValueError("diamAtMost needs k")
         return diam_at_most(g, k)
-    if kind not in table:
+    if kind not in _RECOGNIZERS:
         raise ValueError(f"unknown class kind {kind!r}")
-    return table[kind](g)
+    return _RECOGNIZERS[kind](g)

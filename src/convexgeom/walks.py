@@ -162,28 +162,6 @@ def interval(g, spec, u, v):
         raise ValueError(f"vertex pair ({u},{v}) out of range")
     return interval_table(g, spec)[u * g.n + v]
 
-def interval_of_set(g, spec, members):
-    """I(S): union of pairwise intervals, containing S itself."""
-    if members < 0 or members & ~g.vertex_set():
-        raise ValueError(
-            f"vertex set {members:#x} is not a subset of the {g.n} vertices")
-    return interval_step(interval_table(g, spec), g.n)(members)
-
-
-def interval_step(t, n):
-    """S -> I(S) as a function over the interval table t of an n-vertex
-    graph.  It does not check its masks: callers pass vertex sets."""
-
-    def step(members):
-        out = members
-        vs = list(iter_bits(members))
-        for i, u in enumerate(vs):
-            row = u * n
-            for v in vs[i + 1:]:
-                out |= t[row + v]
-        return out
-    return step
-
 
 # --- toll / weakly toll decisions --------------------------------------------
 #

@@ -229,6 +229,17 @@ def test_verify_max_n_below_one(capsys):
             assert "n_max must be at least 1" in err
 
 
+def test_verify_empty_graph6_file(capsys, tmp_path):
+    # an empty or blank file holds no graph, so there is nothing to verify
+    for text in ("", "\n  \n"):
+        path = tmp_path / "empty.g6"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--theorem", "T-P3",
+                                 "--graph6-file", str(path))
+        assert code == 2 and out == ""
+        assert "no graphs to sweep" in err
+
+
 def test_fixtures_command(capsys):
     code, out, err = run_cli(capsys, "fixtures")
     assert code == 0

@@ -343,20 +343,40 @@ def padded(g, n):
 def test_per_query_path_above_guard_matches_table():
     # isolated vertices lie on no path or walk between the original vertices
     # and in no occurrence of a connected pattern, so every answer on a subset
-    # of the original vertices must carry over unchanged
+    # of the original vertices must carry over unchanged; the single-set
+    # queries fire the rules on both graphs, so both must match the table
     n = EXPONENTIAL_GUARD + 1
     for g in connected_graphs_upto(5):
         big = padded(g, n)
         for spec in all_kinds(n):
             table = expansion_table(g, spec)
+            extremes = dict(convex_sets_with_extremes(g, spec))
             for s in range(1 << g.n):
-                assert expand_once(big, spec, s) == table[s], (g, spec.name, s)
-                assert hull(big, spec, s) == hull(g, spec, s), (g, spec.name, s)
+                closed = s
+                while table[closed] != closed:
+                    closed = table[closed]
                 convex = table[s] == s
-                assert is_convex(big, spec, s) == convex
-                if convex:
-                    assert extreme_vertices(big, spec, s) == \
-                        extreme_vertices(g, spec, s), (g, spec.name, s)
+                for h in (g, big):
+                    assert expand_once(h, spec, s) == table[s], (h, spec.name, s)
+                    assert hull(h, spec, s) == closed, (h, spec.name, s)
+                    assert is_convex(h, spec, s) == convex, (h, spec.name, s)
+                    if convex:
+                        assert extreme_vertices(h, spec, s) == extremes[s], \
+                            (h, spec.name, s)
+
+
+def test_single_set_queries_build_no_table():
+    # hull, is_convex, expand_once and extreme_vertices fire the rules, so a
+    # 12-vertex graph (at the guard) gets no 2^n table from them
+    g = cycle_graph(EXPONENTIAL_GUARD)
+    s = mask_of([0, 6])
+    for spec in all_kinds(g.n):
+        before = expansion_table.cache_info()
+        full = hull(g, spec, s)
+        assert is_convex(g, spec, full)
+        assert expand_once(g, spec, full) == full
+        extreme_vertices(g, spec, full)
+        assert expansion_table.cache_info() == before, spec.name
 
 
 @pytest.mark.parametrize("fn", [expand_once, is_convex, hull, extreme_vertices])

@@ -165,6 +165,15 @@ def test_explicit_graph_list():
     assert result.geometries == 4 and result.certificates == []
 
 
+def test_empty_graph_list_rejected():
+    # a sweep over no graph must not read as a verified statement
+    for graphs in ([], iter(())):
+        with pytest.raises(ValueError, match="no graphs"):
+            verify_theorem("T-P3", graphs=graphs)
+        with pytest.raises(ValueError, match="no graphs"):
+            verify_lemma("L-HOWORKA", graphs=graphs)
+
+
 def test_certificate_lines_deterministic():
     a = verify_theorem(INVERTED_PREFIX + "T-TRI", n_max=4)
     b = verify_theorem(INVERTED_PREFIX + "T-TRI", n_max=4)

@@ -1,5 +1,6 @@
 """Source hygiene: every imported name is used by the module that imports
-it, and no library function exists only for the tests.
+it, no library function exists only for the tests, and every `module.attr`
+that README.md names exists.
 
 No linter is installed, so these stdlib AST scans guard src/ and tests/.
 Names an __init__.py lists in __all__ count as used (re-exports).
@@ -114,3 +115,41 @@ def test_scan_finds_test_only_functions(tmp_path):
 
 def test_no_test_only_functions():
     assert functions_only_tests_use() == []
+
+
+def _module_names(tree):
+    """Names bound at the top level of a module."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def dangling_readme_references(root=ROOT):
+    """`module.attr` mentions in README.md whose module is in src/convexgeom
+    but binds no such name."""
+    modules = {p.stem: _module_names(ast.parse(p.read_text()))
+               for p in root.glob("src/convexgeom/*.py")}
+    text = (root / "README.md").read_text()
+    found = {f"{m}.{attr}" for m, attr in re.findall(r"`(\w+)\.(?!py`)(\w+)", text)
+             if m in modules and attr not in modules[m]}
+    return sorted(found)
+
+
+def test_scan_finds_dangling_readme_references(tmp_path):
+    src = tmp_path / "src" / "convexgeom"
+    src.mkdir(parents=True)
+    (src / "a.py").write_text("from .b import f\nX = 1\n\n\ndef g():\n    pass\n")
+    (tmp_path / "README.md").write_text(
+        "`a.f`, `a.g(s)`, `a.X`, `a.py`, `b.h`, `a.gone` and `a.also_gone(s)`\n")
+    assert dangling_readme_references(tmp_path) == ["a.also_gone", "a.gone"]
+
+
+def test_readme_references_resolve():
+    assert dangling_readme_references() == []

@@ -66,7 +66,7 @@ def test_induced_cycles_length_bounds():
     assert sorted(m.bit_count() for m in roofed) == [3, 4]
 
 
-def _relabel(g, perm):
+def relabel(g, perm):
     adj = [0] * g.n
     for u, v in g.edges():
         adj[perm[u]] |= bit(perm[v])
@@ -75,8 +75,8 @@ def _relabel(g, perm):
 
 
 @st.composite
-def labelled_graphs(draw):
-    n = draw(st.integers(1, 16))
+def labelled_graphs(draw, max_n=16):
+    n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     density = draw(st.floats(0.0, 0.5))
     seed = draw(st.integers(0, 2 ** 32 - 1))
@@ -97,5 +97,5 @@ def test_induced_cycles_properties(case):
         assert sub.n >= 3 and is_connected(sub)
         assert all(sub.degree(v) == 2 for v in range(sub.n))
     moved = sorted(sum(bit(perm[v]) for v in iter_bits(m)) for m in cycles)
-    assert induced_cycles(_relabel(g, perm)) == moved
+    assert induced_cycles(relabel(g, perm)) == moved
     assert bool(cycles) == (not is_forest(g))

@@ -5,6 +5,7 @@ import pytest
 from bruteforce import (all_walks, bounded_walk_hits, bounded_walk_oracle,
                         default_walk_bound, is_tolled_walk,
                         is_weakly_toll_walk, naive_interval)
+from convexgeom.engine import expand_once
 from convexgeom.enumeration import connected_graphs, connected_graphs_upto
 from convexgeom.errors import UnsupportedOracleError
 from convexgeom.fixtures import GEM_FIXTURE
@@ -18,7 +19,6 @@ from convexgeom.walks import (
     f_free,
     geodetic,
     interval,
-    interval_of_set,
     interval_table,
     lk,
     m3,
@@ -154,13 +154,13 @@ def test_default_walk_bound():
 def test_gem_geodetic_interval():
     g = GEM_FIXTURE  # path a,b,c,d with universal apex e
     assert interval(g, geodetic(), 0, 3) == mask_of([0, 4, 3])
-    assert interval_of_set(g, geodetic(), mask_of([0, 3])) == mask_of([0, 4, 3])
+    assert expand_once(g, geodetic(), mask_of([0, 3])) == mask_of([0, 4, 3])
 
 
 def test_cycle5_monophonic_interval():
     c5 = cycle_graph(5)
     assert interval(c5, monophonic(), 0, 2) == c5.vertex_set()
-    assert interval_of_set(c5, monophonic(), mask_of([1, 4])) == c5.vertex_set()
+    assert expand_once(c5, monophonic(), mask_of([1, 4])) == c5.vertex_set()
 
 
 def test_cycle4_m3_interval():
@@ -274,16 +274,18 @@ def test_howorka_invariant_on_ptolemaic_graphs():
 
 
 def test_interval_of_set_basics():
+    # on interval kinds one expansion step is I(S), the union of the
+    # intervals of the pairs in S
     g = GEM_FIXTURE
     spec = geodetic()
-    assert interval_of_set(g, spec, 0) == 0
-    assert interval_of_set(g, spec, bit(2)) == bit(2)
+    assert expand_once(g, spec, 0) == 0
+    assert expand_once(g, spec, bit(2)) == bit(2)
     rng = random.Random(73)
     for trial in range(20):
         s = rng.randrange(1 << g.n)
         t = s | rng.randrange(1 << g.n)
-        small = interval_of_set(g, spec, s)
-        assert small & ~interval_of_set(g, spec, t) == 0 or not s & ~t
+        small = expand_once(g, spec, s)
+        assert small & ~expand_once(g, spec, t) == 0 or not s & ~t
         assert s & ~small == 0
 
 
@@ -292,7 +294,7 @@ def test_interval_of_set_rejects_foreign_masks(bad):
     g = path_graph(5)
     for spec in (geodetic(), strong()):
         with pytest.raises(ValueError):
-            interval_of_set(g, spec, bad)
+            expand_once(g, spec, bad)
 
 
 def test_interval_of_set_monotone_all_kinds():
@@ -302,4 +304,4 @@ def test_interval_of_set_monotone_all_kinds():
         for trial in range(10):
             s = rng.randrange(1 << 6)
             t = s | rng.randrange(1 << 6)
-            assert interval_of_set(g, spec, s) & ~interval_of_set(g, spec, t) == 0
+            assert expand_once(g, spec, s) & ~expand_once(g, spec, t) == 0
