@@ -24,8 +24,8 @@ from .harness import (LEMMAS, THEOREMS, VerifyResult,
                       reverify_certificate, verify_lemma, verify_theorem,
                       write_certificates)
 from .recognizers import (end_simplicial_vertices, find_asteroidal_triple,
-                          maximal_cliques, recognize, semisimplicial_vertices,
-                          simple_vertices, simplicial_vertices)
+                          recognize, semisimplicial_vertices, simple_vertices,
+                          simplicial_vertices)
 from .walks import (ConvexitySpec, f_free, geodetic, interval, interval_table,
                     lk, m3, monophonic, p3, p4plus, strong, toll,
                     triangle_path, weakly_toll)
@@ -44,7 +44,7 @@ __all__ = [
     "find_asteroidal_triple", "geodetic", "hull", "induced_subgraph",
     "interval", "interval_table", "is_connected",
     "is_convex", "is_convex_geometry_mkm", "is_isomorphic", "lk", "m3",
-    "maximal_cliques", "monophonic", "nonhereditary_fixture_check", "p3",
+    "monophonic", "nonhereditary_fixture_check", "p3",
     "p4plus", "parse_edge_list", "parse_graph6", "read_certificates",
     "read_graph6_lines", "recognize", "resolve_lemma", "resolve_theorem",
     "reverify_certificate", "satisfies_antiexchange",

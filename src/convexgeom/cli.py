@@ -152,15 +152,11 @@ def _cmd_convex_sets(args):
     spec = _spec_from_args(args)
     sets = all_convex_sets(g, spec)
     _maybe_label_table(args, labels)
-    if args.json:
-        print(json.dumps({"command": "convex-sets", "convexity": spec.name,
-                          "count": len(sets),
-                          "sets": [_names(s, labels) for s in sets]},
-                         sort_keys=True))
-    else:
-        for s in sets:
-            print("{" + ",".join(_names(s, labels)) + "}")
-        print(f"total: {len(sets)}")
+    named = [_names(s, labels) for s in sets]
+    _emit(args, {"command": "convex-sets", "convexity": spec.name,
+                 "count": len(sets), "sets": named},
+          "".join("{" + ",".join(names) + "}\n" for names in named)
+          + f"total: {len(sets)}")
     return 0
 
 
@@ -182,6 +178,8 @@ def _cmd_recognize(args):
     g, labels = _load_graph(args)
     if args.cls == "diamAtMost" and args.k is None:
         raise GraphInputError("--k is required with --class diamAtMost")
+    if args.cls != "diamAtMost" and args.k is not None:
+        raise GraphInputError("--k only applies to --class diamAtMost")
     verdict = recognize(g, args.cls, k=args.k)
     payload = {"command": "recognize", "class": args.cls, "verdict": verdict}
     if args.k is not None:
@@ -199,18 +197,14 @@ def _cmd_verify(args):
     if args.certificates:
         write_certificates(args.certificates, result.certificates)
     summary = result.summary()
-    if args.json:
-        print(json.dumps({"command": "verify", "summary": summary,
-                          "certificates": result.certificates},
-                         sort_keys=True))
-    else:
-        print(f"{result.ident}: graphs={summary['graphs']} "
-              f"geometries={summary['geometries']} "
-              f"classMembers={summary['classMembers']} "
-              f"certificates={summary['certificates']}")
-        for cert in result.certificates:
-            print(f"  violation {cert['g6']} geometry={cert['geometry']} "
-                  f"class={cert['class']}")
+    lines = [f"{result.ident}: graphs={summary['graphs']} "
+             f"geometries={summary['geometries']} "
+             f"classMembers={summary['classMembers']} "
+             f"certificates={summary['certificates']}"]
+    lines += [f"  violation {cert['g6']} geometry={cert['geometry']} "
+              f"class={cert['class']}" for cert in result.certificates]
+    _emit(args, {"command": "verify", "summary": summary,
+                 "certificates": result.certificates}, "\n".join(lines))
     return 0 if not result.certificates else 1
 
 
@@ -218,15 +212,12 @@ def _cmd_verify_lemma(args):
     resolve_lemma(args.lemma)
     result = verify_lemma(args.lemma, n_max=args.max_n, jobs=args.jobs)
     summary = result.summary()
-    if args.json:
-        print(json.dumps({"command": "verify-lemma", "summary": summary,
-                          "certificates": result.certificates},
-                         sort_keys=True))
-    else:
-        print(f"{result.ident}: graphs={summary['graphs']} "
-              f"domain={summary['classMembers']} "
-              f"holds={summary['geometries']} "
-              f"certificates={summary['certificates']}")
+    _emit(args, {"command": "verify-lemma", "summary": summary,
+                 "certificates": result.certificates},
+          f"{result.ident}: graphs={summary['graphs']} "
+          f"domain={summary['classMembers']} "
+          f"holds={summary['geometries']} "
+          f"certificates={summary['certificates']}")
     return 0 if not result.certificates else 1
 
 
@@ -251,15 +242,10 @@ def _cmd_fixtures(args):
 
 
 def _cmd_enumerate(args):
-    graphs = connected_graphs(args.n)
-    if args.json:
-        print(json.dumps({"command": "enumerate", "n": args.n,
-                          "count": len(graphs),
-                          "graphs": [emit_graph6(g) for g in graphs]},
-                         sort_keys=True))
-    else:
-        for g in graphs:
-            print(emit_graph6(g))
+    codes = [emit_graph6(g) for g in connected_graphs(args.n)]
+    _emit(args, {"command": "enumerate", "n": args.n, "count": len(codes),
+                 "graphs": codes},
+          "\n".join(codes))
     return 0
 
 
@@ -274,10 +260,7 @@ def _cmd_render_dot(args):
         lines.append(f'  "{labels[u]}" -- "{labels[v]}";')
     lines.append("}")
     dot = "\n".join(lines)
-    if args.json:
-        print(json.dumps({"command": "render-dot", "dot": dot}, sort_keys=True))
-    else:
-        print(dot)
+    _emit(args, {"command": "render-dot", "dot": dot}, dot)
     return 0
 
 

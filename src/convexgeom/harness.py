@@ -262,18 +262,15 @@ def _always(_g):
 def _build_lemmas():
     entries = [
         LemmaEntry("L-EXT-MONO", 7, _always,
-                   lambda g: _extremes_match(g, monophonic(),
-                                             lambda h, s: simplicial_vertices(h, s)),
+                   lambda g: _extremes_match(g, monophonic(), simplicial_vertices),
                    "extreme vertices of induced-path convex sets are the "
                    "simplicial vertices of the induced subgraph"),
         LemmaEntry("L-EXT-M3", 7, _always,
-                   lambda g: _extremes_match(g, m3(),
-                                             lambda h, s: semisimplicial_vertices(h, s)),
+                   lambda g: _extremes_match(g, m3(), semisimplicial_vertices),
                    "extreme vertices of long-induced-path convex sets are the "
                    "semisimplicial vertices of the induced subgraph"),
         LemmaEntry("L-SC-EXT", 7, is_chordal,
-                   lambda g: _extremes_match(g, strong(),
-                                             lambda h, s: simple_vertices(h, s)),
+                   lambda g: _extremes_match(g, strong(), simple_vertices),
                    "on chordal graphs, extreme vertices of even-chorded-path "
                    "convex sets are the simple vertices of the induced subgraph"),
         LemmaEntry("L-SC-COVER", 7, is_strongly_chordal,
@@ -281,8 +278,7 @@ def _build_lemmas():
                    "on strongly chordal graphs, every nonsimple vertex lies on "
                    "an even-chorded path between two simple vertices"),
         LemmaEntry("L-TOLL-EXT-NEC", 7, _always,
-                   lambda g: _extremes_match(g, toll(),
-                                             lambda h, s: simplicial_vertices(h, s),
+                   lambda g: _extremes_match(g, toll(), simplicial_vertices,
                                              exact=False),
                    "extreme vertices of tolled-walk convex sets are simplicial "
                    "in the induced subgraph"),
@@ -295,8 +291,7 @@ def _build_lemmas():
                    "on interval graphs, every vertex that is not end simplicial "
                    "lies on a tolled walk between two end simplicial vertices"),
         LemmaEntry("L-WT-EXT-NEC", 7, _always,
-                   lambda g: _extremes_match(g, weakly_toll(),
-                                             lambda h, s: simplicial_vertices(h, s),
+                   lambda g: _extremes_match(g, weakly_toll(), simplicial_vertices,
                                              exact=False),
                    "extreme vertices of weakly-toll-walk convex sets are "
                    "simplicial in the induced subgraph"),
@@ -393,7 +388,7 @@ def verify_theorem(ident, n_max=None, jobs=1, graphs=None):
     return _sweep(resolve_theorem(ident), n_max, jobs, graphs)
 
 
-def verify_lemma(ident, n_max=None, graphs=None, jobs=1):
+def verify_lemma(ident, n_max=None, jobs=1, graphs=None):
     """Check one lemma entry over its domain; certificates mark violations."""
     return _sweep(resolve_lemma(ident), n_max, jobs, graphs)
 

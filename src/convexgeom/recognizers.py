@@ -11,7 +11,6 @@ on the embedding search, because C-P4PLUS's geometry side uses induced_p4s.
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import CapacityError
 from .graphs import bit, component_of, components, diameter, iter_bits
 from .patterns import CLAW, GEM, P4, contains_induced, induced_cycles
 
@@ -127,14 +126,11 @@ def is_weakly_polarizable(g):
     return True
 
 
-def find_asteroidal_triple(g):
-    """Triple (a,b,c) with each pair connected outside the closed neighborhood
-    of the third, or None."""
-    n = g.n
+def _reach_avoiding(g):
+    """reach[c][x]: the component of x in G - N[c], for every x outside N[c]."""
     full = g.vertex_set()
-    # reach[c][v] = component mask of v in G - N[c]
     reach = []
-    for c in range(n):
+    for c in range(g.n):
         allowed = full & ~(g.adj[c] | bit(c))
         comp_id = {}
         for m in iter_bits(allowed):
@@ -143,6 +139,14 @@ def find_asteroidal_triple(g):
                 for w in iter_bits(comp):
                     comp_id[w] = comp
         reach.append(comp_id)
+    return reach
+
+
+def find_asteroidal_triple(g):
+    """Triple (a,b,c) with each pair connected outside the closed neighborhood
+    of the third, or None."""
+    n = g.n
+    reach = _reach_avoiding(g)
 
     def linked(x, y, z):
         comp = reach[z].get(x)
@@ -287,69 +291,39 @@ def is_planar_desk(g):
     return not (_k5_subdivision_present(g) or _k33_subdivision_present(g))
 
 
-# --- maximal cliques and interval-model structure ------------------------------
-
-
-def maximal_cliques(g):
-    """All maximal cliques as bitmasks, ascending."""
-    out = []
-
-    def bron_kerbosch(r, p, x):
-        if not p and not x:
-            out.append(r)
-            return
-        pivot_pool = p | x
-        pivot = max(iter_bits(pivot_pool), key=lambda v: (g.adj[v] & p).bit_count())
-        for v in iter_bits(p & ~g.adj[pivot]):
-            bv = bit(v)
-            bron_kerbosch(r | bv, p & g.adj[v], x & g.adj[v])
-            p &= ~bv
-            x |= bv
-
-    if g.n:
-        bron_kerbosch(0, g.vertex_set(), 0)
-    return sorted(out)
+# --- end vertices of interval graphs -------------------------------------------
 
 
 @lru_cache(maxsize=1 << 12)
-def end_simplicial_vertices(g, max_cliques=12):
-    """Simplicial vertices whose unique maximal clique can open some
-    consecutive clique ordering (realizable with an end interval).  Cached
-    per graph, since the toll lemmas ask again for the same induced
+def end_simplicial_vertices(g):
+    """Simplicial vertices v whose clique N[v] can open a consecutive clique
+    ordering: the end vertices of an interval graph (Gimbel, 1988).
+
+    Pendant test.  N[v] can open the ordering iff v's interval has a private
+    point in some model, where a pendant p at v can go; so iff G + p is an
+    interval graph.  An ordering opened by N[v] stays consecutive with {v, p}
+    put in front.  Conversely, only v and p lie in the clique {v, p}, so no
+    other vertex's run of cliques crosses it: cutting an ordering of G + p
+    there leaves two vertex-disjoint runs, one starting at N[v] (v's only
+    other clique), and that run followed by the other is an ordering of G
+    opened by N[v].  G + p is chordal, and any asteroidal triple of G + p
+    contains p, because G has none and p lies inside no path between two
+    other vertices.  So v fails iff two non-neighbours b, c of v have b in
+    v's component of G - N[c] and c in v's component of G - N[b].  The
+    third condition, b and c joined in G - v, follows: the two paths leave
+    v through N(v), which is a clique.
+
+    Cached per graph, since the toll lemmas ask again for the same induced
     subgraphs; a refused graph raises again on every call."""
     if not is_interval(g):
         raise ValueError("end_simplicial_vertices requires an interval graph")
-    cliques = maximal_cliques(g)
-    k = len(cliques)
-    if k > max_cliques:
-        raise CapacityError(f"{k} maximal cliques exceed the ordering guard {max_cliques}")
-    simp = simplicial_vertices(g)
-    full_placed = (1 << k) - 1
-    dead = set()
-
-    def completes(placed_mask, seen, last):
-        if placed_mask == full_placed:
-            return True
-        key = (placed_mask, last)
-        if key in dead:
-            return False
-        closed = seen & ~last
-        for i in range(k):
-            if placed_mask & (1 << i):
-                continue
-            c = cliques[i]
-            if c & closed:
-                continue
-            if completes(placed_mask | (1 << i), seen | c, c):
-                return True
-        dead.add(key)
-        return False
-
+    reach = _reach_avoiding(g)
+    full = g.vertex_set()
     out = 0
-    for v in iter_bits(simp):
-        home = g.adj[v] | bit(v)  # the unique maximal clique of a simplicial v
-        idx = cliques.index(home)
-        if completes(1 << idx, home, home):
+    for v in iter_bits(simplicial_vertices(g)):
+        far = full & ~g.adj[v] & ~bit(v)
+        if not any(reach[b][v] & bit(c) for c in iter_bits(far)
+                   for b in iter_bits(far & reach[c][v])):
             out |= bit(v)
     return out
 

@@ -4,13 +4,16 @@ Everything here is a literal transcription of a definition: permutation
 isomorphism, explicit path, walk and cycle enumeration, subset scans.  No
 shortcuts, no shared code with the library beyond the Graph container, tiny
 sizes only.  backtracking_path_rows walks every qualifying path one at a
-time, to test the library's search over path states.  The exceptions are the
-canonical-form helpers and the four oracles at the bottom.  The helpers wrap
-the library's canonical form for tests that need a representative or a
-prefilter key.  The scan oracle starts from the library's interval tables
-and closure rules (checked against the literal definitions above elsewhere)
-to test the expansion table, the geometry scans built on top of them, the
-table-free whole-set test and the cover lemmas' check.  The enumeration
+time, to test the library's search over path states, and
+clique_ordering_end_vertices searches clique orderings with a memo, to test
+the library's pendant test on interval graphs too large to permute every
+ordering.  The exceptions are the canonical-form helpers and the four
+oracles at the bottom.  The helpers wrap the library's canonical form for
+tests that need a representative or a prefilter key.  The scan oracle starts
+from the library's interval tables and closure rules (checked against the
+literal definitions above elsewhere) to test the expansion table, the
+geometry scans built on top of them, the table-free whole-set test and the
+cover lemmas' check.  The enumeration
 oracle deduplicates every one-vertex extension by the library's canonical
 form (checked against permutation isomorphism elsewhere) to test the
 enumerator's canonical augmentation.  The embedding oracle finds cycles,
@@ -25,6 +28,8 @@ walk lengths that literal walk enumeration cannot.
 import math
 from functools import lru_cache
 from itertools import combinations, permutations
+
+import networkx as nx
 
 from convexgeom.canon import canonical_form, decode_canonical_form
 from convexgeom.engine import GeometryReport, closure_rules
@@ -294,6 +299,39 @@ def naive_consecutive_orders(g):
                 break
         if ok:
             out.append(order)
+    return out
+
+
+def clique_ordering_end_vertices(g):
+    """Simplicial vertices v whose clique N[v] opens some consecutive clique
+    ordering, by a search over orderings memoised on (placed cliques, last
+    clique); an interval graph is assumed.  The library decides the same set
+    by its pendant test; this search reaches the interval graphs too large
+    for naive_consecutive_orders, with cliques from networkx."""
+    nxg = nx.Graph(list(g.edges()))
+    nxg.add_nodes_from(range(g.n))
+    cliques = sorted(mask_of(c) for c in nx.find_cliques(nxg))
+    k = len(cliques)
+    dead = set()
+
+    def completes(placed, seen, last):
+        if placed == (1 << k) - 1:
+            return True
+        if (placed, last) in dead:
+            return False
+        closed = seen & ~last  # vertices whose run of cliques has ended
+        for i, c in enumerate(cliques):
+            if not placed >> i & 1 and not c & closed:
+                if completes(placed | 1 << i, seen | c, c):
+                    return True
+        dead.add((placed, last))
+        return False
+
+    out = 0
+    for v in range(g.n):
+        home = g.adj[v] | bit(v)
+        if home in cliques and completes(1 << cliques.index(home), home, home):
+            out |= bit(v)
     return out
 
 

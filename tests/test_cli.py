@@ -157,6 +157,13 @@ def test_recognize_requires_k_for_diameter(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_k_rejected_outside_diameter(capsys):
+    code, out, err = run_cli(capsys, "recognize", "--class", "chordal",
+                             "--k", "3", "--graph6", "Bw", "--json")
+    assert code == 2 and out == ""
+    assert "--k only applies to --class diamAtMost" in err
+
+
 def test_verify_json_and_certificates(tmp_path, capsys):
     cert_path = tmp_path / "certs.jsonl"
     code, out, err = run_cli(capsys, "verify", "--theorem", "X-INV-T-TRI",

@@ -1,20 +1,25 @@
 """Hull laws on random labelled graphs of 1-14 vertices, so that the n <= 12
 guard of the expansion table is crossed: the single-set queries fire the
 (trigger, added) rules at every size, and below the guard they must agree
-with the table the subset scans read."""
+with the table the subset scans read.  Intervals must not depend on the
+labelling (geodetic and p3 up to the 32-vertex limit), and the two geometry
+tests must agree on graphs of up to 10 vertices."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexgeom.engine import expansion_table, extreme_vertices, hull
-from convexgeom.graphs import EXPONENTIAL_GUARD, bit, iter_bits
+from convexgeom.engine import (expansion_table, extreme_vertices, hull,
+                               is_convex_geometry_mkm, satisfies_antiexchange)
+from convexgeom.graphs import EXPONENTIAL_GUARD, MAX_VERTICES, bit, iter_bits
 from convexgeom.patterns import CLAW, K3
-from convexgeom.walks import (f_free, geodetic, lk, m3, monophonic, p3,
-                              p4plus, strong, toll, triangle_path, weakly_toll)
+from convexgeom.walks import (CLOSURE_KINDS, f_free, geodetic, interval_table,
+                              lk, m3, monophonic, p3, p4plus, strong, toll,
+                              triangle_path, weakly_toll)
 from test_induced_enumerators import labelled_graphs, relabel
 
 SPECS = (geodetic(), monophonic(), m3(), lk(2), lk(3), strong(), toll(),
          weakly_toll(), triangle_path(), p3(), p4plus(), f_free((K3, CLAW)))
+INTERVAL_SPECS = tuple(spec for spec in SPECS if spec.kind not in CLOSURE_KINDS)
 MASKS = st.integers(0, (1 << 14) - 1)
 
 
@@ -52,3 +57,36 @@ def test_hull_is_the_table_fixpoint(case, s):
         while table[closed] != closed:
             closed = table[closed]
         assert hull(g, spec, s) == closed, spec.name
+
+
+def assert_intervals_relabel(g, perm, specs):
+    image = relabel(g, perm)
+    n = g.n
+    for spec in specs:
+        table, moved_table = interval_table(g, spec), interval_table(image, spec)
+        for u in range(n):
+            for v in range(n):
+                assert moved_table[perm[u] * n + perm[v]] == \
+                    moved(table[u * n + v], perm), (spec.name, u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_graphs(max_n=14))
+def test_intervals_invariant_under_relabelling(case):
+    assert_intervals_relabel(*case, INTERVAL_SPECS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_graphs(max_n=MAX_VERTICES))
+def test_geodetic_and_p3_intervals_invariant_up_to_32_vertices(case):
+    # the toll and weakly toll tables are too slow at this size for tier-1
+    assert_intervals_relabel(*case, (geodetic(), p3()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_graphs(max_n=10))
+def test_mkm_agrees_with_antiexchange(case):
+    g, _ = case
+    for spec in SPECS:
+        assert is_convex_geometry_mkm(g, spec).verdict == \
+            satisfies_antiexchange(g, spec).verdict, spec.name

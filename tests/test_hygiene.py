@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used by the module that imports
-it, no library function exists only for the tests, and every `module.attr`
-that README.md names exists.
+it, no library function exists only for the tests, no defaulted parameter
+is left that no caller sets, and every `module.attr` that README.md names
+exists.
 
 No linter is installed, so these stdlib AST scans guard src/ and tests/.
 Names an __init__.py lists in __all__ count as used (re-exports).
@@ -115,6 +116,122 @@ def test_scan_finds_test_only_functions(tmp_path):
 
 def test_no_test_only_functions():
     assert functions_only_tests_use() == []
+
+
+def _defaulted_params(fn):
+    """(index or None for keyword-only, name) of every defaulted parameter."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _callee(call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def unset_defaults(root=ROOT):
+    """Defaulted parameters of module-level src/convexgeom functions that no
+    call in src/, demos/ or perfbench/ sets, as module.function.parameter.
+
+    Calls match by function name, and a call with *args or **kwargs sets
+    every parameter.  A function passed as an argument to a module-level
+    src function counts as called wherever that function calls the
+    parameter it was passed as; passed to anything else, it escapes and
+    every parameter counts as set.  A function bound to a local name and
+    called through it is not followed."""
+    trees = {p: ast.parse(p.read_text()) for p in root.glob("src/convexgeom/*.py")}
+    funcs = {node.name: node for tree in trees.values() for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    callers = [*trees.values(), *(ast.parse(p.read_text())
+                                  for d in ("demos", "perfbench")
+                                  for p in (root / d).glob("*.py"))]
+    set_by = {}        # function name -> positions and keywords some call sets
+    escaped = set()
+
+    def record(name, call):
+        if (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg is None for k in call.keywords)):
+            escaped.add(name)
+        got = set_by.setdefault(name, set())
+        got.update(range(len(call.args)))
+        got.update(k.arg for k in call.keywords)
+
+    for tree in callers:
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            record(_callee(call), call)
+            callee = funcs.get(_callee(call))
+            params = [a.arg for a in (*callee.args.posonlyargs, *callee.args.args)] \
+                if callee else []
+            passed = [*zip(params, call.args), *((k.arg, k.value) for k in call.keywords)]
+            passed += [(None, a) for a in call.args[len(params):]]
+            for param, value in passed:
+                fn = getattr(value, "id", getattr(value, "attr", None))
+                if fn is None:
+                    continue
+                if callee is None or param is None:
+                    escaped.add(fn)
+                    continue
+                for inner in ast.walk(callee):
+                    if isinstance(inner, ast.Call) and \
+                            getattr(inner.func, "id", None) == param:
+                        record(fn, inner)
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name in escaped:
+                continue
+            got = set_by.get(node.name, set())
+            found += [f"{path.stem}.{node.name}.{arg}"
+                      for index, arg in _defaulted_params(node)
+                      if arg not in got and index not in got]
+    return sorted(found)
+
+
+def test_scan_finds_unset_defaults(tmp_path):
+    src = tmp_path / "src" / "convexgeom"
+    src.mkdir(parents=True)
+    for folder in ("demos", "perfbench"):
+        (tmp_path / folder).mkdir()
+    (src / "a.py").write_text(
+        "def f(x, y=1, z=2, *, w=3):\n    return f(x, 5)\n\n\n"
+        "def g(x=0):\n    return x\n\n\n"
+        "def h(x=0):\n    return x\n\n\n"
+        "def k(x=0):\n    return x\n\n\n"
+        "def m(x=0):\n    return x\n\n\n"
+        "def apply(fn, arg):\n    return fn(arg)\n\n\n"
+        "def both(fn):\n    return fn(1, 2)\n\n\n"
+        "def p(x, y=0):\n    return x\n\n\n"
+        "def q(x, y=0):\n    return x\n\n\n"
+        "def r(x, y=0):\n    return x\n\n\n"
+        "MAPPED = list(map(h, [1]))\n"
+        "APPLIED = apply(p, 1), apply(fn=q, arg=2), both(fn=r)\n")
+    (tmp_path / "demos" / "d.py").write_text(
+        "from convexgeom.a import g, k, m\n"
+        "g()\nk(x=1)\nm(*[1])\n")
+    assert unset_defaults(tmp_path) == ["a.f.w", "a.f.z", "a.g.x", "a.p.y",
+                                        "a.q.y"]
+    (tmp_path / "perfbench" / "p.py").write_text(
+        "from convexgeom import a\na.f(0, w=1)\n")
+    assert unset_defaults(tmp_path) == ["a.f.z", "a.g.x", "a.p.y", "a.q.y"]
+
+
+# Defaulted parameters kept on purpose although no caller sets them.
+KEPT_DEFAULTS = {
+    "graphs.emit_edge_list.labels":
+        "the inverse of parse_edge_list, which returns the labels it read",
+    "harness.nonhereditary_fixture_check.g":
+        "a test seam: tests pass a graph the fixture facts must reject",
+    "harness.verify_lemma.graphs":
+        "the mirror of verify_theorem.graphs, which verify --graph6-file sets",
+}
+
+
+def test_no_unset_defaults():
+    assert unset_defaults() == sorted(KEPT_DEFAULTS)
 
 
 def _module_names(tree):

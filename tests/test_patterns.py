@@ -48,6 +48,19 @@ def test_fixed_patterns():
     assert DOMINO.n == 6 and DOMINO.edge_count() == 7
     assert A_GRAPH.n == 6 and sorted(A_GRAPH.degree(v) for v in range(6)) == [1, 1, 2, 2, 3, 3]
     assert CLAW.n == 4 and K3.edge_count() == 3 and P4.n == 4
+    for g, m, degs in [(GEM, 7, [2, 2, 3, 3, 4]),
+                       (HOUSE, 6, [2, 2, 2, 3, 3]),
+                       (DOMINO, 7, [2, 2, 2, 2, 3, 3]),
+                       (A_GRAPH, 6, [1, 1, 2, 2, 3, 3]),
+                       (CLAW, 3, [1, 1, 1, 3]),
+                       (P4, 3, [1, 1, 2, 2]),
+                       (K3, 3, [2, 2, 2])]:
+        assert g.edge_count() == m, g
+        assert sorted(g.degree(v) for v in range(g.n)) == degs, g
+    # the fixed labelings of the module docstring
+    assert GEM.adj[4] == 0b01111           # e universal over the path
+    assert HOUSE.adj[4] == 0b00011         # roof on a,b
+    assert DOMINO.has_edge(4, 5) and not A_GRAPH.has_edge(4, 5)
     # the gem is the 3-gem: path of three edges plus a universal apex
     assert is_isomorphic(GEM, n_gem_graph(3))
 

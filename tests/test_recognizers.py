@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from bruteforce import (
+    clique_ordering_end_vertices,
     naive_asteroidal_triple,
     naive_consecutive_orders,
     naive_is_bipartite,
@@ -16,9 +17,9 @@ from bruteforce import (
     strongly_chordal_farber,
 )
 from convexgeom.enumeration import connected_graphs, connected_graphs_upto
-from convexgeom.errors import CapacityError
 from convexgeom.fixtures import GEM_FIXTURE, SEVEN_FIXTURE, delete_vertex
-from convexgeom.graphs import Graph, bit, diameter, iter_bits, mask_of
+from convexgeom.graphs import (Graph, bit, diameter, induced_subgraph,
+                               is_connected, iter_bits, mask_of)
 from convexgeom.patterns import (
     CLAW,
     HOUSE,
@@ -51,7 +52,6 @@ from convexgeom.recognizers import (
     is_ptolemaic,
     is_strongly_chordal,
     is_weakly_polarizable,
-    maximal_cliques,
     n_gems,
     recognize,
     semisimplicial_vertices,
@@ -213,7 +213,7 @@ def test_interval_against_networkx_cliques():
     # clique layer against networkx
     rng = random.Random(113)
     for g in rng.sample(connected_graphs(6), 40):
-        ours = sorted(maximal_cliques(g))
+        ours = naive_maximal_cliques(g)
         nxg = nx.Graph([*g.edges()])
         nxg.add_nodes_from(range(g.n))
         theirs = sorted(mask_of(c) for c in nx.find_cliques(nxg))
@@ -280,27 +280,21 @@ def test_planarity_known_cases():
     assert not is_planar_desk(sub)
 
 
-def test_maximal_cliques_against_naive():
-    for g in connected_graphs_upto(6):
-        assert maximal_cliques(g) == naive_maximal_cliques(g), g
-
-
 def test_clique_order_examples():
-    assert len(maximal_cliques(P4)) == 3
+    assert len(naive_maximal_cliques(P4)) == 3
     assert len(naive_consecutive_orders(P4)) == 2       # one order + reversal
-    assert maximal_cliques(K3) == [K3.vertex_set()]
+    assert naive_maximal_cliques(K3) == [K3.vertex_set()]
     assert len(naive_consecutive_orders(K3)) == 1
-    assert len(maximal_cliques(cycle_graph(4))) == 4
+    assert len(naive_maximal_cliques(cycle_graph(4))) == 4
     assert naive_consecutive_orders(cycle_graph(4)) == []
 
 
 def test_clique_guard():
-    # P14 is an interval graph with 13 maximal cliques (its edges)
+    # P14 is an interval graph with 13 maximal cliques (its edges); the
+    # pendant test needs no bound on their number
     g = path_graph(14)
-    assert is_interval(g) and len(maximal_cliques(g)) == 13
-    with pytest.raises(CapacityError):
-        end_simplicial_vertices(g)
-    assert end_simplicial_vertices(g, max_cliques=13) == mask_of([0, 13])
+    assert is_interval(g) and len(naive_maximal_cliques(g)) == 13
+    assert end_simplicial_vertices(g) == mask_of([0, 13])
 
 
 def test_end_simplicial_examples():
@@ -308,6 +302,9 @@ def test_end_simplicial_examples():
     assert end_simplicial_vertices(K3) == K3.vertex_set()
     assert end_simplicial_vertices(star_graph(3)) == mask_of([1, 2, 3])
     assert end_simplicial_vertices(path_graph(1)) == bit(0)
+    # the largest graph the library takes: no new vertex is built
+    k32 = complete_graph(32)
+    assert end_simplicial_vertices(k32) == k32.vertex_set()
 
 
 def test_end_simplicial_requires_interval_graph():
@@ -318,24 +315,35 @@ def test_end_simplicial_requires_interval_graph():
 
 def test_end_simplicial_guards_hold_on_repeated_calls():
     # the per-graph cache keeps answers only: a refused graph is refused on
-    # every call, and an answer under a raised clique guard does not leak
-    # into a call with the default guard
+    # every call
     for _ in range(2):
         with pytest.raises(ValueError):
             end_simplicial_vertices(cycle_graph(4))
-        with pytest.raises(CapacityError):
-            end_simplicial_vertices(path_graph(14))
-    assert end_simplicial_vertices(path_graph(14), max_cliques=13) == mask_of([0, 13])
-    with pytest.raises(CapacityError):
-        end_simplicial_vertices(path_graph(14))
+    assert end_simplicial_vertices(path_graph(14)) == mask_of([0, 13])
+
+
+def _interval_graphs_and_subgraphs():
+    """Every connected interval graph to n = 8, and every interval induced
+    subgraph (disconnected ones too) of those to n = 7, once per labelling."""
+    graphs = [g for g in connected_graphs_upto(8) if is_interval(g)]
+    subs = {}
+    for g in graphs:
+        if g.n <= 7:
+            for members in range(1, 1 << g.n):
+                sub, _ = induced_subgraph(g, members)
+                if is_interval(sub):
+                    subs[sub] = None
+    return graphs + list(subs)
 
 
 def test_end_simplicial_against_orderings():
     # independent reading: v is end simplicial iff some consecutive ordering
-    # opens or closes with a clique containing v
-    for g in connected_graphs_upto(6):
-        if not is_interval(g):
-            continue
+    # opens or closes with a clique containing v; the clique-ordering search
+    # is checked on the same graphs, since it is the oracle beyond them
+    graphs = _interval_graphs_and_subgraphs()
+    assert len(graphs) == 1658 + 1044
+    assert any(not is_connected(g) for g in graphs)
+    for g in graphs:
         want = 0
         simp = simplicial_vertices(g)
         for order in naive_consecutive_orders(g):
@@ -345,6 +353,29 @@ def test_end_simplicial_against_orderings():
                     if home == order[0] or home == order[-1]:
                         want |= bit(v)
         assert end_simplicial_vertices(g) == want, g
+        assert clique_ordering_end_vertices(g) == want, g
+
+
+def random_interval_graph(n, rng):
+    """Intersection graph of n random closed intervals."""
+    ends = []
+    for _ in range(n):
+        a = rng.uniform(0, 10)
+        ends.append((a, a + rng.uniform(0.2, 3)))
+    adj = [0] * n
+    for i, (a, b) in enumerate(ends):
+        for j, (c, d) in enumerate(ends):
+            if i != j and a <= d and c <= b:
+                adj[i] |= bit(j)
+    return Graph(n, adj)
+
+
+def test_end_simplicial_on_random_interval_models():
+    rng = random.Random(1988)
+    for _ in range(300):
+        g = random_interval_graph(rng.randint(9, 20), rng)
+        assert is_interval(g)
+        assert end_simplicial_vertices(g) == clique_ordering_end_vertices(g), g
 
 
 def test_n_gem_detection():
