@@ -8,14 +8,14 @@ the characterization registry over all small connected graphs.
 
 from .canon import canonical_form, is_isomorphic
 from .engine import (GeometryReport, all_convex_sets, expand_once,
-                     extreme_vertices, hull, is_convex, is_convex_geometry_mkm,
-                     satisfies_antiexchange)
+                     extreme_vertices, hull, is_convex, is_convex_geometry,
+                     is_convex_geometry_mkm, satisfies_antiexchange)
 from .enumeration import connected_graphs, connected_graphs_upto
 from .errors import (CapacityError, Graph6ParseError, GraphInputError,
-                     UnsupportedOracleError)
+                     UnsupportedOracleError, UsageError)
 from .fixtures import (FIXTURES, GEM_FIXTURE, GEM_FIXTURE_LABELS,
                        SEVEN_FIXTURE, SEVEN_FIXTURE_LABELS, delete_vertex)
-from .graphs import (Graph, components, diameter, distances, emit_edge_list,
+from .graphs import (Graph, components, diameter, emit_edge_list,
                      emit_graph6, induced_subgraph, is_connected,
                      parse_edge_list, parse_graph6)
 from .harness import (LEMMAS, THEOREMS, VerifyResult,
@@ -36,16 +36,15 @@ __all__ = [
     "CapacityError", "ConvexitySpec", "FIXTURES", "GEM_FIXTURE",
     "GEM_FIXTURE_LABELS", "GeometryReport", "Graph", "Graph6ParseError",
     "GraphInputError", "LEMMAS", "SEVEN_FIXTURE", "SEVEN_FIXTURE_LABELS",
-    "THEOREMS", "UnsupportedOracleError", "VerifyResult", "all_convex_sets",
-    "canonical_form", "components",
-    "connected_graphs", "connected_graphs_upto", "delete_vertex", "diameter",
-    "distances", "emit_edge_list", "emit_graph6",
-    "end_simplicial_vertices", "expand_once", "extreme_vertices", "f_free",
-    "find_asteroidal_triple", "geodetic", "hull", "induced_subgraph",
-    "interval", "interval_table", "is_connected",
-    "is_convex", "is_convex_geometry_mkm", "is_isomorphic", "lk", "m3",
-    "monophonic", "nonhereditary_fixture_check", "p3",
-    "p4plus", "parse_edge_list", "parse_graph6", "read_certificates",
+    "THEOREMS", "UnsupportedOracleError", "UsageError", "VerifyResult",
+    "all_convex_sets", "canonical_form", "components", "connected_graphs",
+    "connected_graphs_upto", "delete_vertex", "diameter", "emit_edge_list",
+    "emit_graph6", "end_simplicial_vertices", "expand_once",
+    "extreme_vertices", "f_free", "find_asteroidal_triple", "geodetic", "hull",
+    "induced_subgraph", "interval", "interval_table", "is_connected",
+    "is_convex", "is_convex_geometry", "is_convex_geometry_mkm",
+    "is_isomorphic", "lk", "m3", "monophonic", "nonhereditary_fixture_check",
+    "p3", "p4plus", "parse_edge_list", "parse_graph6", "read_certificates",
     "read_graph6_lines", "recognize", "resolve_lemma", "resolve_theorem",
     "reverify_certificate", "satisfies_antiexchange",
     "semisimplicial_vertices", "simple_vertices", "simplicial_vertices",

@@ -7,7 +7,8 @@ import sys
 from .engine import (all_convex_sets, extreme_vertices, hull, is_convex,
                      is_convex_geometry_mkm, satisfies_antiexchange)
 from .enumeration import connected_graphs
-from .errors import CapacityError, GraphInputError
+from .errors import (CapacityError, GraphInputError, UnsupportedOracleError,
+                     UsageError)
 from .fixtures import GEM_FIXTURE, GEM_FIXTURE_LABELS
 from .graphs import (bit, emit_graph6, is_connected, iter_bits,
                      parse_edge_list, parse_graph6)
@@ -36,7 +37,7 @@ def _spec_from_args(args):
         raise GraphInputError("--family only applies to --convexity ffree")
     if token in plain:
         return plain[token]()
-    if token.startswith("l") and token[1:].isdigit():
+    if token.startswith("l") and token[1:].isdecimal():
         return lk(int(token[1:]))
     raise GraphInputError(
         f"unknown convexity {token!r}; choose from {', '.join(CONVEXITY_TOKENS)}")
@@ -370,10 +371,11 @@ def run(argv=None):
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (GraphInputError, ValueError) as exc:
+    except (GraphInputError, UsageError, UnsupportedOracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # an input file that cannot be opened or is not the text it claims
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,22 +8,29 @@ is the fixpoint reached by repeating E, and S is convex iff E(S) = S.
 Every kind writes E as (trigger, added) rules: a closure rule, or a pair
 {a, b} whose interval adds a vertex.  The single-set queries (hull,
 is_convex, expand_once, extreme_vertices) and the whole-set test
-vertex_set_is_hull_of_extremes fire those rules at any graph size.  Only
-the subset scans (convex sets, MKM, antiexchange) read E off one cached
-table over all 2^n subsets, built for n <= EXPONENTIAL_GUARD (12) in O(2^n)
-for interval kinds and O(n 2^n) for closure kinds.  Both geometry tests
-scan subsets in ascending bitmask order, so reports are deterministic for a
-fixed graph labeling.  A graph that fails the whole-set test is no convex
-geometry, which lets a sweep that needs only the verdict skip the scan.
+vertex_set_is_hull_of_extremes fire those rules at any graph size.
+
+Below n <= EXPONENTIAL_GUARD (12) two structures cover all 2^n subsets at
+once.  The expansion table holds E[s] for every s, built in O(2^n) for
+interval kinds and O(n 2^n) for closure kinds.  The MKM and antiexchange
+scans read it, walking subsets in ascending bitmask order, so their
+witnesses are deterministic for a fixed graph labeling.  The subset bitsets
+(graphs.subset_bits) hold one bit per subset: convex_bits marks the convex
+sets with one AND-NOT per rule (all_convex_sets lists them), and shifting it
+by 2^x pairs every set with the set plus or minus x.  That gives the
+extreme vertices of every convex set (convex_extreme_bits) and the verdict
+of is_convex_geometry without a loop over sets.  A graph that fails the
+whole-set test is no convex geometry, which lets a sweep that needs only
+the verdict skip both.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import or_
 
-from .errors import CapacityError
+from .errors import CapacityError, UsageError
 from .graphs import (EXPONENTIAL_GUARD, bit, is_connected, iter_bits,
-                     vertices_of)
+                     subset_bits, vertices_of)
 from .patterns import all_induced_occurrences, induced_cycles, induced_p4s
 from .walks import CLOSURE_KINDS, interval_table
 
@@ -108,13 +115,18 @@ def _closure_expansion(g, spec):
     return map(or_, range(size), z)
 
 
+def _guard(g):
+    """Refuse a structure over all 2^n subsets above the guard."""
+    if g.n > EXPONENTIAL_GUARD:
+        raise CapacityError(
+            f"subset scan over {g.n} vertices exceeds the n <= {EXPONENTIAL_GUARD} guard")
+
+
 @lru_cache(maxsize=4)
 def expansion_table(g, spec):
     """The one-step expansion E[s] for every vertex subset s, as a tuple of
     length 2^n.  Refuses n above the guard."""
-    if g.n > EXPONENTIAL_GUARD:
-        raise CapacityError(
-            f"subset scan over {g.n} vertices exceeds the n <= {EXPONENTIAL_GUARD} guard")
+    _guard(g)
     if spec.kind in CLOSURE_KINDS:
         return tuple(_closure_expansion(g, spec))
     return tuple(_interval_expansion(g, spec))
@@ -137,6 +149,39 @@ def _rules(g, spec):
     return [(pair, t[i]) for pair, i in _pairs(g.n) if t[i] != pair]
 
 
+def convex_bits(g, spec):
+    """The subset bitset of the convex sets: bit s is set iff E(s) = s.  A
+    rule breaks every s that holds its trigger but not all it adds.
+    Refuses n above the guard, as subset_bits does."""
+    up = subset_bits(g.n)
+    broken = 0
+    for trigger, added in _rules(g, spec):
+        broken |= up[trigger] & ~up[trigger | added]
+    return up[0] & ~broken
+
+
+def convex_extreme_bits(g, conv):
+    """ext[x] for every vertex x, given the convex-set bitset conv: bit s of
+    ext[x] is set iff s is convex, x lies in s and s - x is convex."""
+    up = subset_bits(g.n)
+    return [conv & up[1 << x] & (conv << (1 << x)) for x in range(g.n)]
+
+
+def is_convex_geometry(g, spec):
+    """Whether g is a convex geometry under spec, by the one-point extension
+    test: every convex set other than V grows by one vertex into a convex
+    set (Edelman and Jamison, "The theory of convex geometries", Geom.
+    Dedicata 19, 1985, Thm 2.1).  It agrees with is_convex_geometry_mkm and
+    satisfies_antiexchange, which give witnesses.  Refuses n above the
+    guard."""
+    conv = convex_bits(g, spec)
+    up = subset_bits(g.n)
+    grows = 0
+    for x in range(g.n):
+        grows |= conv & ~up[1 << x] & (conv >> (1 << x))
+    return conv & ~grows == 1 << ((1 << g.n) - 1)
+
+
 def _rule_step(rules):
     """S plus whatever the (trigger, added) rules inside S add."""
     def fire(s):
@@ -153,7 +198,7 @@ def _step(g, spec, s):
     is a vertex set of g; the step itself checks nothing, so a fixpoint
     validates once."""
     if s < 0 or s & ~g.vertex_set():
-        raise ValueError(f"vertex set {s:#x} is not a subset of the {g.n} vertices")
+        raise UsageError(f"vertex set {s:#x} is not a subset of the {g.n} vertices")
     return _rule_step(_rules(g, spec))
 
 
@@ -196,18 +241,22 @@ def extreme_vertices(g, spec, s):
     """Vertices x of convex s with s minus x still convex; s must be convex."""
     step = _step(g, spec, s)
     if step(s) != s:
-        raise ValueError("extreme_vertices requires a convex set")
+        raise UsageError("extreme_vertices requires a convex set")
     return _extremes(step, s)
 
 
 def all_convex_sets(g, spec):
-    """All fixpoints of the expansion step, ascending by bitmask."""
-    return [s for s, t in enumerate(expansion_table(g, spec)) if s == t]
+    """All fixpoints of the expansion step, ascending by bitmask, read off
+    convex_bits."""
+    return list(iter_bits(convex_bits(g, spec)))
 
 
 def convex_sets_with_extremes(g, spec):
     """(S, extreme vertices of S) for every convex set S, ascending by
-    bitmask, read off the expansion table."""
+    bitmask, read off the expansion table.  This is the MKM scan's walk,
+    which stops at its first violating set and needs the table for its hull
+    step anyway; reading each set's extremes off convex_bits instead made
+    the scan about twice as slow."""
     e = expansion_table(g, spec)
     step = e.__getitem__
     for s, t in enumerate(e):

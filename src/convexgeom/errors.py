@@ -15,6 +15,12 @@ class Graph6ParseError(GraphInputError):
         self.offset = offset
 
 
+class UsageError(ValueError):
+    """Raised when a caller passes an argument outside what an operation
+    accepts: an unknown id, kind or class, a bad count or bound, a spec that
+    does not validate, or a vertex or vertex set outside the graph."""
+
+
 class CapacityError(RuntimeError):
     """Raised when an exponential operation is asked to exceed its guard."""
 

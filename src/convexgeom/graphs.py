@@ -5,6 +5,7 @@ is single machine-word operations for the supported sizes (n <= 32).
 """
 
 import math
+from functools import lru_cache
 
 from .errors import CapacityError, Graph6ParseError, GraphInputError
 
@@ -42,6 +43,25 @@ def _iter_bits_loop(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@lru_cache(maxsize=None)
+def subset_bits(n):
+    """Bitsets over the 2^n vertex subsets of an n-vertex graph, in which
+    bit s stands for the subset s: up[m] has bit s set iff m lies inside s,
+    for every mask m.  So up[0] has all 2^n bits set, and up[1 << y], the
+    subsets holding y, repeats 2^y clear bits then 2^y set bits: up[0]
+    divided by 2^(2^y) + 1 repeats them the other way round.  The table
+    takes 2^(2n) bits, 2 MB at the guard n = 12, and is refused above it."""
+    if n > EXPONENTIAL_GUARD:
+        raise CapacityError(
+            f"subset scan over {n} vertices exceeds the n <= {EXPONENTIAL_GUARD} guard")
+    full = (1 << (1 << n)) - 1
+    up = [full]
+    for y in range(n):
+        member = full // ((1 << (1 << y)) + 1) << (1 << y)
+        up += [s & member for s in up]
+    return tuple(up)
 
 
 def vertices_of(mask):
@@ -181,10 +201,6 @@ def distances_from(g, source):
         seen |= nxt
         frontier = nxt
     return dist
-
-
-def distances(g):
-    return [distances_from(g, u) for u in range(g.n)]
 
 
 def diameter(g):

@@ -10,14 +10,15 @@ be re-verified from scratch.
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from .engine import (GeometryReport, convex_sets_with_extremes, expand_once,
-                     extreme_vertices, hull, is_convex_geometry_mkm,
-                     satisfies_antiexchange, vertex_set_is_hull_of_extremes)
+from .engine import (GeometryReport, convex_bits, convex_extreme_bits,
+                     expand_once, extreme_vertices, hull, is_convex_geometry,
+                     is_convex_geometry_mkm, satisfies_antiexchange,
+                     vertex_set_is_hull_of_extremes)
 from .enumeration import connected_graphs_upto
+from .errors import UsageError
 from .fixtures import SEVEN_FIXTURE, delete_vertex
 from .graphs import (EXPONENTIAL_GUARD, bit, emit_graph6, induced_subgraph,
                      iter_bits, parse_graph6, vertices_of)
@@ -29,8 +30,8 @@ from .recognizers import (diam_at_most, end_simplicial_vertices,
                           is_l3_characterization, is_planar_desk,
                           is_proper_interval, is_ptolemaic,
                           is_strongly_chordal, is_weakly_polarizable,
-                          semisimplicial_vertices, simple_vertices,
-                          simplicial_vertices)
+                          semisimplicial_types, simple_types,
+                          simple_vertices, simplicial_types)
 from .walks import (f_free, geodetic, interval_table, lk, m3, monophonic, p3,
                     p4plus, strong, toll, triangle_path, weakly_toll)
 
@@ -52,21 +53,27 @@ class TheoremEntry:
 
         A False geometry verdict violates nothing when g is outside the
         class or the direction is onlyIf, so then a graph whose vertex set
-        is not the hull of its extremes is settled without the full scan;
-        V is convex, so the scan would report False too.  Above the guard
-        the scan runs and refuses, as it always has."""
+        is not the hull of its extremes is settled by that whole-set test;
+        V is convex, so the MKM scan would report False too.  Otherwise the
+        verdict is the one-point extension test of engine.is_convex_geometry
+        (Edelman and Jamison, 1985), on the subset bitsets.  The MKM scan
+        runs only to give the witness of a violated statement whose verdict
+        is False; a True verdict's witness is the empty MKM report.  Above
+        the guard the verdict refuses, as the scan always has."""
         spec = self.spec_for(g.n)
         cls = bool(self.class_check(g))
         if spec is None:
-            report = GeometryReport(True, "mkm")
+            geo = True
         elif ((not cls or self.direction == "onlyIf") and g.n <= EXPONENTIAL_GUARD
               and not vertex_set_is_hull_of_extremes(g, spec)):
             return False, cls, None
         else:
-            report = is_convex_geometry_mkm(g, spec)
-        geo = report.verdict
+            geo = is_convex_geometry(g, spec)
         violated = (geo != cls) if self.direction == "iff" else (geo and not cls)
-        return geo, cls, report.to_dict() if violated else None
+        if not violated:
+            return geo, cls, None
+        report = GeometryReport(True, "mkm") if geo else is_convex_geometry_mkm(g, spec)
+        return geo, cls, report.to_dict()
 
 
 @dataclass(frozen=True)
@@ -181,7 +188,7 @@ def resolve_theorem(ident):
     try:
         return THEOREMS[ident]
     except KeyError:
-        raise ValueError(f"unknown theorem id {ident!r}") from None
+        raise UsageError(f"unknown theorem id {ident!r}") from None
 
 
 # --- lemma registry ---------------------------------------------------------------
@@ -191,24 +198,43 @@ def _names(mask):
     return list(vertices_of(mask))
 
 
-def _extremes_match(g, spec, target, exact=True):
-    """Across every convex set S: extreme vertices equal (or refine, when
-    exact=False) the target vertex set computed on G[S]."""
-    for s, ext in convex_sets_with_extremes(g, spec):
-        want = target(g, s)
-        bad = (ext != want) if exact else (ext & ~want)
-        if bad:
-            return False, {"set": _names(s), "extremes": _names(ext),
-                           "target": _names(want)}
-    return True, None
+def _extremes_match(g, spec, types, exact=True):
+    """Across every convex set S: extreme vertices equal (or lie within,
+    when exact=False) the vertices of a type on G[S].  types(g, conv) gives
+    the type as subset bitsets want[x] (bit s set iff x has the type in
+    G[s]), right at least on the convex sets conv.  The witness is the first
+    convex set, by ascending mask, where the two differ."""
+    conv = convex_bits(g, spec)
+    want = types(g, conv)
+    ext = convex_extreme_bits(g, conv)
+    bad = 0
+    for e, t in zip(ext, want):
+        bad |= e ^ t if exact else e & ~t
+    bad &= conv
+    if not bad:
+        return True, None
+    s = (bad & -bad).bit_length() - 1
+
+    def at(bitsets):
+        return [x for x, b in enumerate(bitsets) if b >> s & 1]
+    return False, {"set": _names(s), "extremes": at(ext), "target": at(want)}
 
 
-def _end_simplicial_within(g, members):
-    sub, mapping = induced_subgraph(g, members)
-    inner = end_simplicial_vertices(sub)
-    out = 0
-    for i in iter_bits(inner):
-        out |= bit(mapping[i])
+def _local(types):
+    """A local vertex type for _extremes_match: its bitsets hold on every
+    subset, so the convex sets are not needed."""
+    return lambda g, _conv: types(g)
+
+
+def _end_simplicial_types(g, conv):
+    """End simplicial vertices as subset bitsets, filled on the convex sets
+    conv only, from end_simplicial_vertices on G[S]: unlike the local
+    types, they have no small forbidden sets."""
+    out = [0] * g.n
+    for s in iter_bits(conv):
+        sub, mapping = induced_subgraph(g, s)
+        for i in iter_bits(end_simplicial_vertices(sub)):
+            out[mapping[i]] |= 1 << s
     return out
 
 
@@ -262,15 +288,15 @@ def _always(_g):
 def _build_lemmas():
     entries = [
         LemmaEntry("L-EXT-MONO", 7, _always,
-                   lambda g: _extremes_match(g, monophonic(), simplicial_vertices),
+                   lambda g: _extremes_match(g, monophonic(), _local(simplicial_types)),
                    "extreme vertices of induced-path convex sets are the "
                    "simplicial vertices of the induced subgraph"),
         LemmaEntry("L-EXT-M3", 7, _always,
-                   lambda g: _extremes_match(g, m3(), semisimplicial_vertices),
+                   lambda g: _extremes_match(g, m3(), _local(semisimplicial_types)),
                    "extreme vertices of long-induced-path convex sets are the "
                    "semisimplicial vertices of the induced subgraph"),
         LemmaEntry("L-SC-EXT", 7, is_chordal,
-                   lambda g: _extremes_match(g, strong(), simple_vertices),
+                   lambda g: _extremes_match(g, strong(), _local(simple_types)),
                    "on chordal graphs, extreme vertices of even-chorded-path "
                    "convex sets are the simple vertices of the induced subgraph"),
         LemmaEntry("L-SC-COVER", 7, is_strongly_chordal,
@@ -278,12 +304,12 @@ def _build_lemmas():
                    "on strongly chordal graphs, every nonsimple vertex lies on "
                    "an even-chorded path between two simple vertices"),
         LemmaEntry("L-TOLL-EXT-NEC", 7, _always,
-                   lambda g: _extremes_match(g, toll(), simplicial_vertices,
+                   lambda g: _extremes_match(g, toll(), _local(simplicial_types),
                                              exact=False),
                    "extreme vertices of tolled-walk convex sets are simplicial "
                    "in the induced subgraph"),
         LemmaEntry("L-TOLL-EXT-IFF", 7, is_interval,
-                   lambda g: _extremes_match(g, toll(), _end_simplicial_within),
+                   lambda g: _extremes_match(g, toll(), _end_simplicial_types),
                    "on interval graphs, extreme vertices of tolled-walk convex "
                    "sets are the end simplicial vertices of the induced subgraph"),
         LemmaEntry("L-TOLL-COVER", 7, is_interval,
@@ -291,12 +317,12 @@ def _build_lemmas():
                    "on interval graphs, every vertex that is not end simplicial "
                    "lies on a tolled walk between two end simplicial vertices"),
         LemmaEntry("L-WT-EXT-NEC", 7, _always,
-                   lambda g: _extremes_match(g, weakly_toll(), simplicial_vertices,
+                   lambda g: _extremes_match(g, weakly_toll(), _local(simplicial_types),
                                              exact=False),
                    "extreme vertices of weakly-toll-walk convex sets are "
                    "simplicial in the induced subgraph"),
         LemmaEntry("L-WT-EXT-IFF", 7, is_proper_interval,
-                   lambda g: _extremes_match(g, weakly_toll(), _end_simplicial_within),
+                   lambda g: _extremes_match(g, weakly_toll(), _end_simplicial_types),
                    "on proper interval graphs, extreme vertices of weakly-toll "
                    "convex sets are the end simplicial vertices of the induced "
                    "subgraph"),
@@ -322,7 +348,7 @@ def resolve_lemma(ident):
     try:
         return LEMMAS[ident]
     except KeyError:
-        raise ValueError(f"unknown lemma id {ident!r}") from None
+        raise UsageError(f"unknown lemma id {ident!r}") from None
 
 
 # --- the sweep -------------------------------------------------------------------
@@ -351,11 +377,12 @@ def _chunk(ident, graphs):
 
 def _sweep(entry, n_max, jobs, graphs):
     """Sweep one entry; jobs > 1 splits the graphs over a process pool of at
-    most os.cpu_count() workers."""
+    most os.cpu_count() workers.  The pool module, and multiprocessing with
+    it, is imported only then, so a serial run does not pay for it."""
     if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
     if n_max is not None and n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+        raise UsageError(f"n_max must be at least 1, got {n_max}")
     if graphs is None:
         if n_max is None:
             n_max = entry.default_n_max
@@ -363,12 +390,13 @@ def _sweep(entry, n_max, jobs, graphs):
     else:
         graphs = list(graphs)
         if not graphs:
-            raise ValueError("no graphs to sweep")
+            raise UsageError("no graphs to sweep")
         if n_max is None:
             n_max = max(g.n for g in graphs)
     result = VerifyResult(entry.ident, n_max, len(graphs), 0, 0)
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1 and len(graphs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         chunks = [graphs[i::workers] for i in range(workers) if graphs[i::workers]]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(partial(_chunk, entry.ident), chunks))

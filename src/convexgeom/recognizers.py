@@ -11,7 +11,9 @@ on the embedding search, because C-P4PLUS's geometry side uses induced_p4s.
 from functools import lru_cache
 from itertools import combinations
 
-from .graphs import bit, component_of, components, diameter, iter_bits
+from .errors import UsageError
+from .graphs import (bit, component_of, components, diameter, iter_bits,
+                     subset_bits)
 from .patterns import CLAW, GEM, P4, contains_induced, induced_cycles
 
 # --- local vertex types -------------------------------------------------------
@@ -45,27 +47,84 @@ def _is_semisimplicial_in(g, sub, v):
     return True
 
 
-def simplicial_vertices(g, sub=None):
-    sub = g.vertex_set() if sub is None else sub
-    return _collect(g, sub, _is_simplicial_in)
+def simplicial_vertices(g):
+    return _collect(g, _is_simplicial_in)
 
 
-def simple_vertices(g, sub=None):
-    sub = g.vertex_set() if sub is None else sub
-    return _collect(g, sub, _is_simple_in)
+def simple_vertices(g):
+    return _collect(g, _is_simple_in)
 
 
-def semisimplicial_vertices(g, sub=None):
-    sub = g.vertex_set() if sub is None else sub
-    return _collect(g, sub, _is_semisimplicial_in)
+def semisimplicial_vertices(g):
+    return _collect(g, _is_semisimplicial_in)
 
 
-def _collect(g, sub, pred):
+def _collect(g, pred):
+    sub = g.vertex_set()
     out = 0
     for v in iter_bits(sub):
         if pred(g, sub, v):
             out |= bit(v)
     return out
+
+
+# Vertex types on every induced subgraph at once, as subset bitsets (see
+# graphs.subset_bits): bit s of T[x] is set iff x lies in s and has the type
+# in G[s].  Each type fails exactly when s holds x and one of a few small
+# forbidden sets, so T[x] is up[{x}] minus the supersets of those sets.
+
+
+def _types(g, forbidden):
+    """T[x] = up[{x}] minus up[m + x] for every mask m in forbidden(x)."""
+    up = subset_bits(g.n)
+    out = []
+    for x in range(g.n):
+        bx = bit(x)
+        broken = 0
+        for m in forbidden(x):
+            broken |= up[m | bx]
+        out.append(up[bx] & ~broken)
+    return out
+
+
+def simplicial_types(g):
+    """Simplicial in G[s]: no two nonadjacent neighbours a, b of x in s."""
+    adj = g.adj
+
+    def forbidden(x):
+        for a in iter_bits(adj[x]):
+            for b in iter_bits(adj[x] & ~adj[a] & ~((2 << a) - 1)):
+                yield bit(a) | bit(b)
+    return _types(g, forbidden)
+
+
+def semisimplicial_types(g):
+    """Semisimplicial in G[s]: x is inside no induced P4 a-x-b-c of G[s]."""
+    adj = g.adj
+
+    def forbidden(x):
+        for a in iter_bits(adj[x]):
+            for b in iter_bits(adj[x] & ~adj[a] & ~bit(a)):
+                for c in iter_bits(adj[b] & ~adj[x] & ~adj[a] & ~bit(x) & ~bit(a)):
+                    yield bit(a) | bit(b) | bit(c)
+    return _types(g, forbidden)
+
+
+def simple_types(g):
+    """Simple in G[s]: the closed neighbourhoods in G[s] of x's neighbours
+    form a chain, so no neighbours u, w have p in N[u] - N[w] and q in
+    N[w] - N[u] inside s."""
+    adj = g.adj
+
+    def forbidden(x):
+        for u in iter_bits(adj[x]):
+            cu = adj[u] | bit(u)
+            for w in iter_bits(adj[x] & ~((2 << u) - 1)):
+                cw = adj[w] | bit(w)
+                for p in iter_bits(cu & ~cw):
+                    for q in iter_bits(cw & ~cu):
+                        yield bit(u) | bit(w) | bit(p) | bit(q)
+    return _types(g, forbidden)
 
 
 # --- chordality family --------------------------------------------------------
@@ -398,8 +457,8 @@ CLASS_KINDS = (*_RECOGNIZERS, "diamAtMost")
 def recognize(g, kind, k=None):
     if kind == "diamAtMost":
         if k is None:
-            raise ValueError("diamAtMost needs k")
+            raise UsageError("diamAtMost needs k")
         return diam_at_most(g, k)
     if kind not in _RECOGNIZERS:
-        raise ValueError(f"unknown class kind {kind!r}")
+        raise UsageError(f"unknown class kind {kind!r}")
     return _RECOGNIZERS[kind](g)

@@ -10,7 +10,7 @@ tests/bruteforce.py and shares no code with them.
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import UnsupportedOracleError
+from .errors import UnsupportedOracleError, UsageError
 from .graphs import Graph, bit, component_of, distances_from, iter_bits
 from .paths import path_interval_rows
 
@@ -29,20 +29,20 @@ class ConvexitySpec:
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
-            raise ValueError(f"unknown convexity kind {self.kind!r}")
+            raise UsageError(f"unknown convexity kind {self.kind!r}")
         if self.kind == "lk":
             if self.k is None or self.k < 1:
-                raise ValueError("lk convexity requires k >= 1")
+                raise UsageError("lk convexity requires k >= 1")
         elif self.k is not None:
-            raise ValueError(f"{self.kind} takes no k parameter")
+            raise UsageError(f"{self.kind} takes no k parameter")
         if self.kind == "fFree":
             if not self.family:
-                raise ValueError("fFree requires a nonempty pattern family")
+                raise UsageError("fFree requires a nonempty pattern family")
             for h in self.family:
                 if not isinstance(h, Graph) or h.n < 2:
-                    raise ValueError("fFree family members must be graphs on >= 2 vertices")
+                    raise UsageError("fFree family members must be graphs on >= 2 vertices")
         elif self.family:
-            raise ValueError(f"{self.kind} takes no pattern family")
+            raise UsageError(f"{self.kind} takes no pattern family")
 
     @property
     def name(self):
@@ -159,7 +159,7 @@ def interval_table(g, spec):
 def interval(g, spec, u, v):
     """I(u,v) as a bitmask; always contains the endpoints, I(u,u) = {u}."""
     if not 0 <= u < g.n or not 0 <= v < g.n:
-        raise ValueError(f"vertex pair ({u},{v}) out of range")
+        raise UsageError(f"vertex pair ({u},{v}) out of range")
     return interval_table(g, spec)[u * g.n + v]
 
 

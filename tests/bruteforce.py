@@ -12,8 +12,11 @@ oracles at the bottom.  The helpers wrap the library's canonical form for
 tests that need a representative or a prefilter key.  The scan oracle starts
 from the library's interval tables and closure rules (checked against the
 literal definitions above elsewhere) to test the expansion table, the
-geometry scans built on top of them, the table-free whole-set test and the
-cover lemmas' check.  The enumeration
+geometry scans built on top of them, the convex-set bitset, the lemma
+checks on type bitsets (against the per-set scan they replaced), the
+table-free whole-set test and the cover lemmas' check; its
+end_simplicial_within applies the library's end_simplicial_vertices (checked
+against clique orderings elsewhere) to each G[S].  The enumeration
 oracle deduplicates every one-vertex extension by the library's canonical
 form (checked against permutation isomorphism elsewhere) to test the
 enumerator's canonical augmentation.  The embedding oracle finds cycles,
@@ -37,7 +40,7 @@ from convexgeom.graphs import Graph, bit, induced_subgraph, iter_bits, mask_of
 from convexgeom.patterns import (A_GRAPH, DOMINO, HOUSE, P4,
                                  all_induced_occurrences, cycle_graph,
                                  iter_induced_embeddings)
-from convexgeom.recognizers import free_of_family
+from convexgeom.recognizers import end_simplicial_vertices, free_of_family
 from convexgeom.walks import CLOSURE_KINDS, interval_table
 
 
@@ -579,6 +582,75 @@ def naive_whole_set_passes(g, spec):
     while expand(h) != h:
         h = expand(h)
     return h == full
+
+
+def naive_convex_bits(g, spec):
+    """engine.convex_bits as one expansion per subset: bit s set iff s is
+    a fixpoint of the scan oracle's step."""
+    expand = naive_expander(g, spec)
+    return sum(1 << s for s in range(1 << g.n) if expand(s) == s)
+
+
+def naive_extremes_match(g, spec, within, exact=True):
+    """harness._extremes_match as the per-set scan it replaced: for every
+    convex set S by ascending mask, the extremes of S against the vertex set
+    within(g, S) computed on G[S]."""
+    expand = naive_expander(g, spec)
+    for s in range(1 << g.n):
+        if expand(s) != s:
+            continue
+        ext = 0
+        for x in iter_bits(s):
+            t = s & ~bit(x)
+            if expand(t) == t:
+                ext |= bit(x)
+        want = within(g, s)
+        if (ext != want) if exact else (ext & ~want):
+            return False, {"set": list(iter_bits(s)), "extremes": list(iter_bits(ext)),
+                           "target": list(iter_bits(want))}
+    return True, None
+
+
+# --- vertex types on an induced subgraph ---------------------------------------
+#
+# The three local vertex types of G[sub], straight from their definitions,
+# to test the type bitsets of recognizers on every subset at once.
+
+
+def simplicial_within(g, sub):
+    """Vertices of sub whose neighbours in sub are pairwise adjacent."""
+    out = 0
+    for v in iter_bits(sub):
+        nbrs = list(iter_bits(g.adj[v] & sub))
+        if all(g.has_edge(a, b) for a, b in combinations(nbrs, 2)):
+            out |= bit(v)
+    return out
+
+
+def semisimplicial_within(g, sub):
+    """Vertices v of sub that are inside no induced P4 a-v-b-c of G[sub]:
+    a and b nonadjacent neighbours of v, c a neighbour of b adjacent to
+    neither v nor a."""
+    out = 0
+    for v in iter_bits(sub):
+        nbrs = g.adj[v] & sub
+        if not any(g.adj[b] & sub & ~g.adj[v] & ~g.adj[a] & ~bit(v) & ~bit(a)
+                   for a in iter_bits(nbrs)
+                   for b in iter_bits(nbrs & ~g.adj[a] & ~bit(a))):
+            out |= bit(v)
+    return out
+
+
+def simple_within(g, sub):
+    """Vertices of sub whose neighbours' closed neighbourhoods in G[sub] are
+    pairwise nested."""
+    return sum(bit(v) for v in iter_bits(sub) if _is_simple_within(g, sub, v))
+
+
+def end_simplicial_within(g, sub):
+    """End simplicial vertices of G[sub], in g's labels."""
+    h, mapping = induced_subgraph(g, sub)
+    return sum(bit(mapping[i]) for i in iter_bits(end_simplicial_vertices(h)))
 
 
 # --- bit and color helpers ----------------------------------------------------

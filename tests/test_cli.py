@@ -5,6 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from convexgeom import cli
 from convexgeom.cli import build_parser, run
 from convexgeom.enumeration import connected_graphs
 from convexgeom.fixtures import SEVEN_FIXTURE
@@ -376,3 +377,28 @@ def test_usage_errors(capsys):
 def test_parser_builds():
     parser = build_parser()
     assert parser.prog == "convexgeom"
+
+
+def test_internal_value_error_is_not_an_input_error(monkeypatch):
+    # only the typed input errors exit 2; a plain ValueError raised inside a
+    # command is a fault of the program and must not read as bad input
+    def broken(args):
+        raise ValueError("internal fault")
+    monkeypatch.setattr(cli, "_cmd_fixtures", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        run(["fixtures"])
+
+
+def test_input_errors_keep_exit_two(capsys, tmp_path):
+    # a set that is not convex, a spec that does not validate and a file
+    # that is not ASCII all stay input errors
+    assert run_cli(capsys, "extreme", "--convexity", "geodetic",
+                   "--graph6", "Bg", "--set", "0,2")[0] == 2
+    assert run_cli(capsys, "hull", "--convexity", "l0", "--graph6", "Bw",
+                   "--set", "0")[0] == 2
+    assert run_cli(capsys, "hull", "--convexity", "l\u00b2", "--graph6", "Bw",
+                   "--set", "0")[0] == 2
+    path = tmp_path / "latin1.g6"
+    path.write_bytes(b"Bw\xe9\n")
+    assert run_cli(capsys, "recognize", "--class", "chordal", "--format",
+                   "graph6", str(path))[0] == 2

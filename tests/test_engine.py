@@ -5,6 +5,7 @@ import pytest
 from bruteforce import (
     naive_antiexchange,
     naive_convex,
+    naive_convex_bits,
     naive_expander,
     naive_ffree_convex,
     naive_hull,
@@ -16,12 +17,15 @@ from convexgeom.engine import (
     GeometryReport,
     all_convex_sets,
     closure_rules,
+    convex_bits,
+    convex_extreme_bits,
     convex_sets_with_extremes,
     expand_once,
     expansion_table,
     extreme_vertices,
     hull,
     is_convex,
+    is_convex_geometry,
     is_convex_geometry_mkm,
     satisfies_antiexchange,
     vertex_set_is_hull_of_extremes,
@@ -30,7 +34,7 @@ from convexgeom.enumeration import connected_graphs, connected_graphs_upto
 from convexgeom.errors import CapacityError
 from convexgeom.fixtures import GEM_FIXTURE, SEVEN_FIXTURE, delete_vertex
 from convexgeom.graphs import EXPONENTIAL_GUARD, Graph, bit, mask_of
-from convexgeom.harness import _odd_cycle_spec
+from convexgeom.harness import _kuratowski_spec, _odd_cycle_spec
 from convexgeom.patterns import CLAW, K3, P4, cycle_graph, path_graph, star_graph
 from convexgeom.recognizers import semisimplicial_vertices, simplicial_vertices
 from convexgeom.walks import (
@@ -322,7 +326,21 @@ def test_geometry_report_to_dict():
     assert named_ae["antiexchange_witness"] == {"set": ["c"], "x": "a", "y": "b"}
 
 
+def _check_subset_bits(g, spec, mkm, ae):
+    """convex_bits and the extreme bitsets against the expansion table, and
+    the one-point extension verdict against both scans' reports."""
+    conv = convex_bits(g, spec)
+    table = expansion_table(g, spec)
+    assert conv == sum(1 << s for s, t in enumerate(table) if s == t), (g, spec.name)
+    ext = convex_extreme_bits(g, conv)
+    for s, want in convex_sets_with_extremes(g, spec):
+        assert sum(bit(x) for x in range(g.n) if ext[x] >> s & 1) == want, \
+            (g, spec.name, s)
+    assert is_convex_geometry(g, spec) == mkm.verdict == ae.verdict, (g, spec.name)
+
+
 def test_expansion_table_matches_scan_oracle_exhaustive():
+    # the subset bitsets ride along on the same graphs and specs
     for g in connected_graphs_upto(7):
         for spec in all_kinds(g.n) + [lk(4), lk(5)]:
             table = expansion_table(g, spec)
@@ -330,9 +348,43 @@ def test_expansion_table_matches_scan_oracle_exhaustive():
             assert len(table) == 1 << g.n
             for s, t in enumerate(table):
                 assert t == expand(s), (g, spec.name, s)
-            assert is_convex_geometry_mkm(g, spec) == naive_mkm(g, spec), (g, spec.name)
-            assert satisfies_antiexchange(g, spec) == naive_antiexchange(g, spec), \
-                (g, spec.name)
+            mkm = is_convex_geometry_mkm(g, spec)
+            ae = satisfies_antiexchange(g, spec)
+            assert mkm == naive_mkm(g, spec), (g, spec.name)
+            assert ae == naive_antiexchange(g, spec), (g, spec.name)
+            _check_subset_bits(g, spec, mkm, ae)
+
+
+def test_subset_bits_on_family_specs_exhaustive():
+    # the registry's family specs: T-FFREE's (K3, claw) family, which
+    # all_kinds trims below four vertices, and the two that depend on n,
+    # C-BIP's odd cycles and C-PLANAR's Kuratowski subdivisions; all_kinds
+    # covers the other specs of the registry and of L-MKM-AE
+    checked = 0
+    for g in connected_graphs_upto(7):
+        for spec in filter(None, (f_free((K3, CLAW)), _odd_cycle_spec(g.n),
+                                  _kuratowski_spec(g.n))):
+            _check_subset_bits(g, spec, is_convex_geometry_mkm(g, spec),
+                               satisfies_antiexchange(g, spec))
+            checked += 1
+    assert checked > 2 * 853
+
+
+def test_convex_bits_match_naive_expander():
+    for g in connected_graphs_upto(5):
+        for spec in all_kinds(g.n):
+            assert convex_bits(g, spec) == naive_convex_bits(g, spec), (g, spec.name)
+    empty = Graph(0, ())
+    assert convex_bits(empty, geodetic()) == 1
+    assert is_convex_geometry(empty, geodetic())
+
+
+def test_subset_bits_capacity_guard():
+    big = Graph(13, (0,) * 13)
+    with pytest.raises(CapacityError):
+        convex_bits(big, geodetic())
+    with pytest.raises(CapacityError):
+        is_convex_geometry(big, p4plus())
 
 
 def padded(g, n):

@@ -7,15 +7,15 @@ import networkx as nx
 import pytest
 
 from bruteforce import floyd_warshall, naive_bits
-from convexgeom.errors import Graph6ParseError, GraphInputError
+from convexgeom.errors import CapacityError, Graph6ParseError, GraphInputError
 from convexgeom.fixtures import SEVEN_FIXTURE, delete_vertex
 from convexgeom.graphs import (
+    EXPONENTIAL_GUARD,
     Graph,
     bit,
     component_of,
     components,
     diameter,
-    distances,
     distances_from,
     emit_edge_list,
     emit_graph6,
@@ -25,6 +25,7 @@ from convexgeom.graphs import (
     mask_of,
     parse_edge_list,
     parse_graph6,
+    subset_bits,
     vertices_of,
 )
 
@@ -129,6 +130,11 @@ def test_induced_subgraph_mapping():
     assert sorted(sub.edges()) == [(0, 1), (0, 2), (1, 2)]
     empty, empty_map = induced_subgraph(g, 0)
     assert empty.n == 0 and empty_map == ()
+
+
+def distances(g):
+    """Every BFS distance row of g."""
+    return [distances_from(g, u) for u in range(g.n)]
 
 
 def test_distances_against_floyd_warshall():
@@ -274,3 +280,16 @@ def test_edge_list_round_trip():
     back, labels = parse_edge_list(text)
     assert back == g and labels == [str(i + 1) for i in range(7)]
     assert emit_edge_list(back, labels) == text
+
+
+def test_subset_bits_mark_supersets():
+    # bit s of up[m] is set exactly when m is a subset of s
+    for n in range(6):
+        up = subset_bits(n)
+        assert len(up) == 1 << n and up[0] == (1 << (1 << n)) - 1
+        for m in range(1 << n):
+            assert up[m] == sum(1 << s for s in range(1 << n) if m & ~s == 0), (n, m)
+    assert subset_bits(4) is subset_bits(4)
+    assert len(subset_bits(EXPONENTIAL_GUARD)) == 1 << EXPONENTIAL_GUARD
+    with pytest.raises(CapacityError):
+        subset_bits(EXPONENTIAL_GUARD + 1)

@@ -1,11 +1,15 @@
+import concurrent.futures
 import json
 import os
 
 import pytest
 
-from bruteforce import naive_cover
+from bruteforce import (end_simplicial_within, naive_cover,
+                        naive_extremes_match, semisimplicial_within,
+                        simple_within, simplicial_within)
 from convexgeom import harness
-from convexgeom.engine import (GeometryReport, is_convex_geometry_mkm,
+from convexgeom.engine import (GeometryReport, is_convex_geometry,
+                               is_convex_geometry_mkm,
                                vertex_set_is_hull_of_extremes)
 from convexgeom.enumeration import connected_graphs_upto
 from convexgeom.errors import CapacityError
@@ -14,14 +18,19 @@ from convexgeom.graphs import EXPONENTIAL_GUARD, Graph, emit_graph6, parse_graph
 from convexgeom.patterns import path_graph
 from convexgeom.recognizers import (end_simplicial_vertices, is_chordal,
                                     is_interval, is_proper_interval,
-                                    is_strongly_chordal, simple_vertices)
-from convexgeom.walks import strong, toll, weakly_toll
+                                    is_strongly_chordal, semisimplicial_types,
+                                    simple_types, simple_vertices,
+                                    simplicial_types)
+from convexgeom.walks import m3, monophonic, strong, toll, weakly_toll
 from convexgeom.harness import (
     INVERTED_PREFIX,
     LEMMAS,
     THEOREMS,
     LemmaEntry,
     _check_cover,
+    _end_simplicial_types,
+    _extremes_match,
+    _local,
     _odd_cycle_spec,
     certificate_lines,
     nonhereditary_fixture_check,
@@ -289,6 +298,30 @@ def test_cover_check_matches_pairwise_loop():
     assert (failures, in_domain) == (630, 794)
 
 
+def test_extremes_match_matches_per_set_scan():
+    # every (convexity, local type) pairing, the lemmas' own and the
+    # mismatched ones, so that failing checks compare their witnesses too;
+    # end simplicial types only on interval graphs, where they are defined
+    local = ((simplicial_types, simplicial_within),
+             (semisimplicial_types, semisimplicial_within),
+             (simple_types, simple_within))
+    failures = 0
+    for g in connected_graphs_upto(6):
+        for spec in (monophonic(), m3(), strong(), toll(), weakly_toll()):
+            for types, within in local:
+                for exact in (True, False):
+                    got = _extremes_match(g, spec, _local(types), exact)
+                    assert got == naive_extremes_match(g, spec, within, exact), \
+                        (emit_graph6(g), spec.name, types.__name__, exact)
+                    failures += not got[0]
+            if spec in (toll(), weakly_toll()) and is_interval(g):
+                got = _extremes_match(g, spec, _end_simplicial_types)
+                assert got == naive_extremes_match(g, spec, end_simplicial_within), \
+                    (emit_graph6(g), spec.name)
+                failures += not got[0]
+    assert failures > 0
+
+
 def test_fixture_sensitivity():
     assert nonhereditary_fixture_check()
     assert nonhereditary_fixture_check(SEVEN_FIXTURE)
@@ -327,25 +360,42 @@ def test_evaluate_matches_full_scan():
 
 
 def test_evaluate_scans_only_where_a_certificate_can_follow(monkeypatch):
+    # the bitset verdict runs only where the whole-set test cannot settle the
+    # graph: an iff class member, or a graph whose vertex set is the hull of
+    # its extremes; the MKM scan runs only for the witness of a violated
+    # statement whose verdict is False: an iff class member that is no
+    # convex geometry
+    decided = []
     scanned = []
 
-    def spy(g, spec):
+    def verdict_spy(g, spec):
+        decided.append(g)
+        return is_convex_geometry(g, spec)
+
+    def scan_spy(g, spec):
         scanned.append(g)
         return is_convex_geometry_mkm(g, spec)
-    monkeypatch.setattr(harness, "is_convex_geometry_mkm", spy)
-    skipped = 0
+    monkeypatch.setattr(harness, "is_convex_geometry", verdict_spy)
+    monkeypatch.setattr(harness, "is_convex_geometry_mkm", scan_spy)
+    prefiltered = skipped = scans = 0
     for ident in ("T-P3", INVERTED_PREFIX + "T-P3", "T-LK-NEC-3", "C-BIP"):
         entry = resolve_theorem(ident)
         for g in connected_graphs_upto(6):
+            decided.clear()
             scanned.clear()
             _, cls, _ = entry.evaluate(g)
             spec = entry.spec_for(g.n)
-            needed = spec is not None and (
+            verdict = spec is not None and (
                 (cls and entry.direction == "iff")
                 or vertex_set_is_hull_of_extremes(g, spec))
+            needed = (spec is not None and cls and entry.direction == "iff"
+                      and not is_convex_geometry_mkm(g, spec).verdict)
+            assert len(decided) == verdict, (ident, emit_graph6(g))
             assert len(scanned) == needed, (ident, emit_graph6(g))
+            prefiltered += spec is not None and not verdict
             skipped += spec is not None and not needed
-    assert skipped > 0
+            scans += needed
+    assert prefiltered > 0 and skipped > 0 and scans > 0
 
 
 def test_evaluate_above_guard_still_refuses():
@@ -356,6 +406,16 @@ def test_evaluate_above_guard_still_refuses():
     assert not vertex_set_is_hull_of_extremes(g, entry.spec_for(g.n))
     with pytest.raises(CapacityError):
         entry.evaluate(g)
+
+
+@pytest.mark.parametrize("ident", ["L-EXT-MONO", "L-EXT-M3", "L-SC-EXT",
+                                   "L-TOLL-EXT-NEC", "L-TOLL-EXT-IFF",
+                                   "L-WT-EXT-NEC", "L-WT-EXT-IFF"])
+def test_extremes_lemmas_refuse_above_guard(ident):
+    # P13 lies in every lemma's domain; the subset bitsets over 2^13 subsets
+    # are refused before any type bitset is built
+    with pytest.raises(CapacityError):
+        harness.verify_lemma(ident, graphs=[path_graph(EXPONENTIAL_GUARD + 1)])
 
 
 @pytest.fixture
@@ -376,7 +436,7 @@ def pool_sizes(monkeypatch):
 
         def map(self, fn, chunks):
             return map(fn, chunks)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return sizes
 
 

@@ -3,13 +3,16 @@ guard of the expansion table is crossed: the single-set queries fire the
 (trigger, added) rules at every size, and below the guard they must agree
 with the table the subset scans read.  Intervals must not depend on the
 labelling (geodetic and p3 up to the 32-vertex limit), and the two geometry
-tests must agree on graphs of up to 10 vertices."""
+scans and the one-point extension verdict must agree on graphs of up to 10
+vertices.  The convex-set bitset must mark the table's fixpoints up to the
+guard."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexgeom.engine import (expansion_table, extreme_vertices, hull,
-                               is_convex_geometry_mkm, satisfies_antiexchange)
+from convexgeom.engine import (convex_bits, expansion_table, extreme_vertices,
+                               hull, is_convex_geometry, is_convex_geometry_mkm,
+                               satisfies_antiexchange)
 from convexgeom.graphs import EXPONENTIAL_GUARD, MAX_VERTICES, bit, iter_bits
 from convexgeom.patterns import CLAW, K3
 from convexgeom.walks import (CLOSURE_KINDS, f_free, geodetic, interval_table,
@@ -86,7 +89,19 @@ def test_geodetic_and_p3_intervals_invariant_up_to_32_vertices(case):
 @settings(max_examples=200, deadline=None)
 @given(labelled_graphs(max_n=10))
 def test_mkm_agrees_with_antiexchange(case):
+    # and with the one-point extension verdict on the subset bitsets
     g, _ = case
     for spec in SPECS:
         assert is_convex_geometry_mkm(g, spec).verdict == \
-            satisfies_antiexchange(g, spec).verdict, spec.name
+            satisfies_antiexchange(g, spec).verdict == is_convex_geometry(g, spec), \
+            spec.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_graphs(max_n=EXPONENTIAL_GUARD))
+def test_convex_bits_are_the_table_fixpoints(case):
+    g, _ = case
+    for spec in SPECS:
+        table = expansion_table(g, spec)
+        assert convex_bits(g, spec) == \
+            sum(1 << s for s, t in enumerate(table) if s == t), spec.name

@@ -71,17 +71,21 @@ def _references(path, tree):
                 yield node.value, path, owner
 
 
-def functions_only_tests_use(root=ROOT):
+def functions_only_tests_use(root=ROOT, exports_count=True):
     """Module-level functions of src/convexgeom that only tests use.  A use
     is a reference from another src/ module or from its own module outside
-    its body, an __all__ entry, or a mention in demos/ or perfbench/."""
+    its body, an __all__ entry, or a mention in demos/ or perfbench/.  With
+    exports_count=False, the package's re-exports (its __init__.py and the
+    __all__ entries) are no use."""
     trees = {p: ast.parse(p.read_text()) for p in root.glob("src/convexgeom/*.py")}
     outside = " ".join(p.read_text() for d in ("demos", "perfbench")
                        for p in (root / d).glob("*.py"))
     tests = " ".join(p.read_text() for p in (root / "tests").glob("*.py"))
-    exported = set().union(*map(_exported, trees.values()))
+    exported = set().union(*map(_exported, trees.values())) if exports_count else set()
     users = {}
     for path, tree in trees.items():
+        if path.name == "__init__.py" and not exports_count:
+            continue
         for name, where, owner in _references(path, tree):
             users.setdefault(name, set()).add((where, owner))
     found = []
@@ -112,10 +116,31 @@ def test_scan_finds_test_only_functions(tmp_path):
     assert functions_only_tests_use(tmp_path) == ["a.helper", "a.shown"]
     (tmp_path / "demos" / "d.py").write_text("from convexgeom.a import shown\n")
     assert functions_only_tests_use(tmp_path) == ["a.helper"]
+    (src / "__init__.py").write_text("from .a import helper\n__all__ = ['helper']\n")
+    assert functions_only_tests_use(tmp_path) == []
+    assert functions_only_tests_use(tmp_path, exports_count=False) == ["a.helper"]
 
 
 def test_no_test_only_functions():
     assert functions_only_tests_use() == []
+
+
+# Public functions kept on purpose although only tests call them, beside
+# the package's re-export.
+KEPT_PUBLIC = {
+    "canon.is_isomorphic":
+        "the one-call isomorphism test that library users would otherwise "
+        "write by comparing canonical forms",
+    "graphs.emit_edge_list":
+        "the writer of the edge-list text that parse_edge_list and the CLI read",
+    "harness.read_certificates":
+        "the reader of the JSONL files that write_certificates and verify "
+        "--certificates produce, for replay through reverify_certificate",
+}
+
+
+def test_public_functions_only_tests_use_are_kept():
+    assert functions_only_tests_use(exports_count=False) == sorted(KEPT_PUBLIC)
 
 
 def _defaulted_params(fn):

@@ -13,13 +13,18 @@ from bruteforce import (
     naive_maximal_cliques,
     naive_semisimplicial_vertices,
     naive_simple_vertices,
+    semisimplicial_within,
+    simple_within,
+    simplicial_within,
     strongly_chordal_by_cycles,
     strongly_chordal_farber,
 )
 from convexgeom.enumeration import connected_graphs, connected_graphs_upto
 from convexgeom.fixtures import GEM_FIXTURE, SEVEN_FIXTURE, delete_vertex
-from convexgeom.graphs import (Graph, bit, diameter, induced_subgraph,
-                               is_connected, iter_bits, mask_of)
+from convexgeom.errors import CapacityError
+from convexgeom.graphs import (EXPONENTIAL_GUARD, Graph, bit, diameter,
+                               induced_subgraph, is_connected, iter_bits,
+                               mask_of)
 from convexgeom.patterns import (
     CLAW,
     HOUSE,
@@ -54,8 +59,11 @@ from convexgeom.recognizers import (
     is_weakly_polarizable,
     n_gems,
     recognize,
+    semisimplicial_types,
     semisimplicial_vertices,
+    simple_types,
     simple_vertices,
+    simplicial_types,
     simplicial_vertices,
 )
 
@@ -82,11 +90,41 @@ def test_vertex_types_against_naive():
         assert semisimplicial_vertices(g) == naive_semisimplicial_vertices(g), g
 
 
+def _types_at(types, s):
+    """The vertices whose type bitset has bit s set."""
+    return sum(bit(x) for x, t in enumerate(types) if t >> s & 1)
+
+
 def test_vertex_types_respect_sub_mask():
     g = GEM_FIXTURE
     sub = mask_of([0, 1, 2, 4])  # drop d: the path shortens to a,b,c under apex e
-    assert simplicial_vertices(g, sub) == mask_of([0, 2])
-    assert semisimplicial_vertices(g, sub) == sub  # no P4 fits in 4 vertices
+    assert _types_at(simplicial_types(g), sub) == mask_of([0, 2])
+    assert _types_at(semisimplicial_types(g), sub) == sub  # no P4 fits in 4 vertices
+    full = g.vertex_set()
+    assert _types_at(simplicial_types(g), full) == simplicial_vertices(g)
+    assert _types_at(simple_types(g), full) == simple_vertices(g)
+    assert _types_at(semisimplicial_types(g), full) == semisimplicial_vertices(g)
+
+
+def test_type_bitsets_match_per_set_oracles():
+    # every subset of every connected graph to n = 7
+    kinds = ((simplicial_types, simplicial_within),
+             (semisimplicial_types, semisimplicial_within),
+             (simple_types, simple_within))
+    for g in connected_graphs_upto(7):
+        for types, within in kinds:
+            want = [0] * g.n
+            for s in range(1 << g.n):
+                for x in iter_bits(within(g, s)):
+                    want[x] |= 1 << s
+            assert types(g) == want, (g, types.__name__)
+
+
+def test_type_bitsets_refuse_above_guard():
+    big = path_graph(EXPONENTIAL_GUARD + 1)
+    for types in (simplicial_types, semisimplicial_types, simple_types):
+        with pytest.raises(CapacityError):
+            types(big)
 
 
 def test_simple_implies_simplicial():
