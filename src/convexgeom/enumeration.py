@@ -130,13 +130,14 @@ def _augmentations(parent):
         seen = bytearray(len(adj))
         _close(w, auts, seen)
         if seen[v]:
-            # Graph.relabel would need the unlabelled child built and
-            # validated as a Graph first
+            # relabelled rows of the validated parent plus a vertex wired
+            # both ways, so the child needs no validation
             label = [0] * len(adj)
             for i, x in enumerate(order):
                 label[x] = i
-            yield form, Graph(len(adj), [sum([1 << label[y] for y in iter_bits(adj[x])])
-                                         for x in order])
+            yield form, Graph._unchecked(
+                len(adj), tuple([sum([1 << label[y] for y in iter_bits(adj[x])])
+                                 for x in order]))
 
 
 @lru_cache(maxsize=None)

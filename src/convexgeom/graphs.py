@@ -100,9 +100,16 @@ class Graph:
             for v in iter_bits(adj[u]):
                 if not adj[v] & bit(u):
                     raise GraphInputError(f"adjacency not symmetric at {u},{v}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "_hash", hash((n, adj)))
+        _fill(self, n, adj)
+
+    @classmethod
+    def _unchecked(cls, n, adj):
+        """A graph on rows taken from a graph that was already validated: a
+        tuple of n symmetric, loop-free masks within range(n).  Skips the
+        checks of __init__, which dominate building small graphs."""
+        g = object.__new__(cls)
+        _fill(g, n, adj)
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -169,6 +176,12 @@ class Graph:
         return Graph(self.n, adj)
 
 
+def _fill(g, n, adj):
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    object.__setattr__(g, "_hash", hash((n, adj)))
+
+
 def induced_subgraph(g, members):
     """Subgraph induced by the bitmask members, plus the old-vertex tuple.
 
@@ -180,7 +193,7 @@ def induced_subgraph(g, members):
     for i, v in enumerate(mapping):
         for w in iter_bits(g.adj[v] & members):
             adj[i] |= bit(index[w])
-    return Graph(len(mapping), adj), mapping
+    return Graph._unchecked(len(mapping), tuple(adj)), mapping
 
 
 def distances_from(g, source):
@@ -203,8 +216,10 @@ def distances_from(g, source):
     return dist
 
 
+@lru_cache(maxsize=1 << 12)
 def diameter(g):
-    """Largest pairwise distance; math.inf when g is disconnected or empty."""
+    """Largest pairwise distance; math.inf when g is disconnected or empty.
+    Cached per graph, since several class sides ask about the same graph."""
     if g.n == 0:
         return math.inf
     best = 0

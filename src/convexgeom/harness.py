@@ -393,6 +393,10 @@ def _sweep(entry, n_max, jobs, graphs):
             raise UsageError("no graphs to sweep")
         if n_max is None:
             n_max = max(g.n for g in graphs)
+        for g in graphs:
+            if g.n > n_max:
+                raise UsageError(f"graph {emit_graph6(g)} has {g.n} vertices, "
+                                 f"more than n_max = {n_max}")
     result = VerifyResult(entry.ident, n_max, len(graphs), 0, 0)
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1 and len(graphs) > 1:

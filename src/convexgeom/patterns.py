@@ -127,6 +127,19 @@ def _embedding_order(p):
     return order
 
 
+@lru_cache(maxsize=1 << 7)
+def _placement(p):
+    """The search plan of pattern p, cached since sweeps search for the same
+    few patterns in every graph: its vertices in _embedding_order, their
+    degrees, and for each position the later positions with whether they
+    must touch it."""
+    order = tuple(_embedding_order(p))
+    later = tuple(tuple((r, bool(p.adj[order[r]] >> q & 1))
+                        for r in range(pos + 1, p.n))
+                  for pos, q in enumerate(order))
+    return order, tuple(p.degree(q) for q in order), later
+
+
 def contains_induced(g, p):
     """First induced embedding of p into g as a tuple e with e[i] hosting pattern
     vertex i, or None.  Adjacency and non-adjacency both must match exactly."""
@@ -147,43 +160,57 @@ def all_induced_occurrences(g, p):
 
 
 def iter_induced_embeddings(g, p):
+    """Every induced embedding of p into g as a tuple e with e[i] hosting
+    pattern vertex i, so each copy once per automorphism of p.  The pattern
+    vertices are placed depth first in _embedding_order, and each position
+    keeps its candidates as one mask (Ullmann, "An algorithm for subgraph
+    isomorphism", J. ACM 23, 1976): the vertices of degree at least its
+    own, adjacent to the images it must touch and to none of the images it
+    must miss, less the used vertices.  Placing an image narrows the masks
+    of the later positions, and a placement that empties one is dropped at
+    once.  Each mask's set bits are tried in ascending order."""
     if p.n > g.n:
         return
     if p.n == 0:
         yield ()
         return
-    order = _embedding_order(p)
-    degs = [p.degree(v) for v in range(p.n)]
-    image = [None] * p.n
-
-    def extend(pos, used):
-        if pos == p.n:
+    adj = g.adj
+    order, needs, later = _placement(p)
+    last = p.n - 1
+    degree = [row.bit_count() for row in adj]
+    # masks[pos][r]: the candidates of position r >= pos, given the images
+    # of the positions before pos; untried[pos]: those position pos has
+    # not tried yet
+    masks = [None] * p.n
+    masks[0] = [sum(1 << w for w in range(g.n) if degree[w] >= d) for d in needs]
+    untried = [masks[0][0]] + [0] * last
+    image = [0] * p.n
+    pos = 0
+    while pos >= 0:
+        c = untried[pos]
+        if not c:
+            pos -= 1
+            continue
+        low = c & -c
+        untried[pos] = c ^ low
+        w = low.bit_length() - 1
+        image[order[pos]] = w
+        if pos == last:
             yield tuple(image)
-            return
-        q = order[pos]
-        want = p.adj[q]
-        req_adj = 0
-        req_non = 0
-        for j in range(pos):
-            m = image[order[j]]
-            if want & bit(order[j]):
-                req_adj |= bit(m)
-            else:
-                req_non |= bit(m)
-        for w in range(g.n):
-            bw = bit(w)
-            if used & bw:
-                continue
-            aw = g.adj[w]
-            if aw & req_adj != req_adj or aw & req_non:
-                continue
-            if aw.bit_count() < degs[q]:
-                continue
-            image[q] = w
-            yield from extend(pos + 1, used | bw)
-            image[q] = None
-
-    yield from extend(0, 0)
+            continue
+        row = adj[w]
+        off = ~(row | low)
+        mine = masks[pos]
+        nxt = mine[:]
+        for r, touches in later[pos]:
+            left = mine[r] & (row if touches else off)
+            if not left:
+                break
+            nxt[r] = left
+        else:
+            pos += 1
+            masks[pos] = nxt
+            untried[pos] = nxt[pos]
 
 
 def induced_cycles(g, min_len=3, max_len=None):

@@ -146,15 +146,24 @@ def _eliminates(g, vertex_test):
     return True
 
 
+# The recognizers that several registry entries, or a class side and a
+# lemma domain, ask about the same graph are cached per graph, as
+# end_simplicial_vertices is.  They call each other (proper interval ->
+# interval -> chordal), so a hit also skips the inner calls.
+
+
+@lru_cache(maxsize=1 << 12)
 def is_chordal(g):
     """A simplicial elimination ordering exists."""
     return _eliminates(g, _is_simplicial_in)
 
 
+@lru_cache(maxsize=1 << 12)
 def is_ptolemaic(g):
     return is_chordal(g) and contains_induced(g, GEM) is None
 
 
+@lru_cache(maxsize=1 << 12)
 def is_strongly_chordal(g):
     """A simple elimination ordering exists (Farber, 1983).  A simple vertex
     is simplicial, so the ordering also certifies chordality."""
@@ -219,14 +228,17 @@ def find_asteroidal_triple(g):
     return None
 
 
+@lru_cache(maxsize=1 << 12)
 def is_interval(g):
     return is_chordal(g) and find_asteroidal_triple(g) is None
 
 
+@lru_cache(maxsize=1 << 12)
 def is_proper_interval(g):
     return is_interval(g) and contains_induced(g, CLAW) is None
 
 
+@lru_cache(maxsize=1 << 12)
 def is_cograph(g):
     return contains_induced(g, P4) is None
 

@@ -7,7 +7,7 @@ sizes only.  backtracking_path_rows walks every qualifying path one at a
 time, to test the library's search over path states, and
 clique_ordering_end_vertices searches clique orderings with a memo, to test
 the library's pendant test on interval graphs too large to permute every
-ordering.  The exceptions are the canonical-form helpers and the four
+ordering.  The exceptions are the canonical-form helpers and the five
 oracles at the bottom.  The helpers wrap the library's canonical form for
 tests that need a representative or a prefilter key.  The scan oracle starts
 from the library's interval tables and closure rules (checked against the
@@ -25,7 +25,10 @@ against naive_contains_induced elsewhere) to test the direct cycle and P4
 enumerators and their callers.  The bounded walk oracle decides toll and
 weakly toll membership by reachability sweeps per walk position, with no
 code in common with the library's component-based decisions; it reaches
-walk lengths that literal walk enumeration cannot.
+walk lengths that literal walk enumeration cannot.  The backtracking
+embedding search takes the library's placement order and tests every vertex
+at every depth, to test that the library's candidate-mask search yields the
+same embeddings in the same order.
 """
 
 import math
@@ -37,7 +40,7 @@ import networkx as nx
 from convexgeom.canon import canonical_form, decode_canonical_form
 from convexgeom.engine import GeometryReport, closure_rules
 from convexgeom.graphs import Graph, bit, induced_subgraph, iter_bits, mask_of
-from convexgeom.patterns import (A_GRAPH, DOMINO, HOUSE, P4,
+from convexgeom.patterns import (A_GRAPH, DOMINO, HOUSE, P4, _embedding_order,
                                  all_induced_occurrences, cycle_graph,
                                  iter_induced_embeddings)
 from convexgeom.recognizers import end_simplicial_vertices, free_of_family
@@ -854,3 +857,46 @@ def _weakly_toll_walk_hits(g, u, v, max_len):
             if got:
                 hits |= got | bit(u) | bit(v)
     return hits
+
+
+def backtracking_induced_embeddings(g, p):
+    """Induced embeddings of p into g as tuples, in the order of the
+    library's search: pattern vertices in the library's placement order,
+    every vertex of g tested at every depth."""
+    if p.n > g.n:
+        return
+    if p.n == 0:
+        yield ()
+        return
+    order = _embedding_order(p)
+    degs = [p.degree(v) for v in range(p.n)]
+    image = [None] * p.n
+
+    def extend(pos, used):
+        if pos == p.n:
+            yield tuple(image)
+            return
+        q = order[pos]
+        want = p.adj[q]
+        req_adj = 0
+        req_non = 0
+        for j in range(pos):
+            m = image[order[j]]
+            if want & bit(order[j]):
+                req_adj |= bit(m)
+            else:
+                req_non |= bit(m)
+        for w in range(g.n):
+            bw = bit(w)
+            if used & bw:
+                continue
+            aw = g.adj[w]
+            if aw & req_adj != req_adj or aw & req_non:
+                continue
+            if aw.bit_count() < degs[q]:
+                continue
+            image[q] = w
+            yield from extend(pos + 1, used | bw)
+            image[q] = None
+
+    yield from extend(0, 0)

@@ -98,19 +98,25 @@ def test_criterion_6_lemma_suite():
         assert not res.certificates, f"{ident}: {len(res.certificates)}"
 
 
+# each convexity's intervals lie inside the next one's
+INTERVAL_CHAINS = (
+    (geodetic(), monophonic(), toll(), weakly_toll()),
+    (m3(), monophonic(), triangle_path()),
+    (lk(2), lk(3), lk(4), lk(5), monophonic()),
+)
+
+
+def assert_interval_chains(g):
+    for chain in INTERVAL_CHAINS:
+        for small, big in zip(chain, chain[1:]):
+            for lo, hi in zip(interval_table(g, small), interval_table(g, big)):
+                assert lo & ~hi == 0, (emit_graph6(g), small.name, big.name)
+
+
 def test_criterion_7_interval_containment_chains():
-    chains = [
-        (geodetic(), monophonic(), toll(), weakly_toll()),
-        (m3(), monophonic(), triangle_path()),
-        (lk(2), lk(3), lk(4), lk(5), monophonic()),
-    ]
     for n in range(1, 8):
         for g in connected_graphs(n):
-            for chain in chains:
-                tables = [interval_table(g, spec) for spec in chain]
-                for small, big in zip(tables, tables[1:]):
-                    for lo, hi in zip(small, big):
-                        assert lo & ~hi == 0, emit_graph6(g)
+            assert_interval_chains(g)
 
 
 def test_criterion_8_enumerator_sanity():

@@ -198,6 +198,20 @@ def test_verify_graph6_file(tmp_path, capsys):
     assert payload["summary"]["graphs"] == 6
 
 
+def test_verify_graph6_file_above_max_n(tmp_path, capsys):
+    # a graph above --max-n is a usage error, not a sweep reported as n <= 4
+    big = emit_graph6(SEVEN_FIXTURE)
+    path = tmp_path / "input.g6"
+    path.write_text(emit_graph6(connected_graphs(4)[0]) + "\n" + big + "\n")
+    code, out, err = run_cli(capsys, "verify", "--theorem", "T-MONO",
+                             "--max-n", "4", "--graph6-file", str(path), "--json")
+    assert code == 2 and out == ""
+    assert f"graph {big} has 7 vertices, more than n_max = 4" in err
+    code, out, err = run_cli(capsys, "verify", "--theorem", "T-MONO",
+                             "--max-n", "7", "--graph6-file", str(path), "--json")
+    assert code == 0 and check_json(out)["summary"]["nMax"] == 7
+
+
 def test_verify_unknown_theorem(capsys):
     code, out, err = run_cli(capsys, "verify", "--theorem", "T-NOPE")
     assert code == 2 and "unknown theorem" in err

@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 
 from bruteforce import floyd_warshall, naive_bits
+from convexgeom.enumeration import connected_graphs_upto
 from convexgeom.errors import CapacityError, Graph6ParseError, GraphInputError
 from convexgeom.fixtures import SEVEN_FIXTURE, delete_vertex
 from convexgeom.graphs import (
@@ -130,6 +131,23 @@ def test_induced_subgraph_mapping():
     assert sorted(sub.edges()) == [(0, 1), (0, 2), (1, 2)]
     empty, empty_map = induced_subgraph(g, 0)
     assert empty.n == 0 and empty_map == ()
+
+
+def _passes_validation(g):
+    """g equals, and hashes as, the graph the validating constructor builds
+    from its rows, which are a tuple of ints."""
+    checked = Graph(g.n, g.adj)
+    return (type(g.adj) is tuple and all(type(row) is int for row in g.adj)
+            and g == checked and hash(g) == hash(checked))
+
+
+def test_unchecked_graphs_pass_validation():
+    # the enumerator's children and induced subgraphs skip the constructor's
+    # checks; the rows must be ones the checks would accept
+    assert all(_passes_validation(g) for g in connected_graphs_upto(8))
+    for g in connected_graphs_upto(6):
+        for members in range(1 << g.n):
+            assert _passes_validation(induced_subgraph(g, members)[0])
 
 
 def distances(g):

@@ -1,6 +1,8 @@
 import concurrent.futures
+import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -181,6 +183,18 @@ def test_empty_graph_list_rejected():
             verify_theorem("T-P3", graphs=graphs)
         with pytest.raises(ValueError, match="no graphs"):
             verify_lemma("L-HOWORKA", graphs=graphs)
+
+
+def test_graph_above_n_max_rejected():
+    # the summary reports n_max, so it must bound every swept graph
+    graphs = connected_graphs_upto(4) + [path_graph(8), path_graph(6)]
+    big = emit_graph6(path_graph(8))
+    with pytest.raises(ValueError, match=f"graph {re.escape(big)} has 8 vertices"):
+        verify_theorem("T-MONO", n_max=4, graphs=graphs)
+    with pytest.raises(ValueError, match="more than n_max = 7"):
+        verify_lemma("L-HOWORKA", n_max=7, graphs=graphs)
+    assert verify_theorem("T-MONO", n_max=8, graphs=graphs).graphs == 12
+    assert verify_theorem("T-MONO", graphs=graphs).n_max == 8
 
 
 def test_certificate_lines_deterministic():
@@ -463,3 +477,26 @@ def test_jobs_below_one_rejected(pool_sizes):
         with pytest.raises(ValueError, match="jobs"):
             verify_lemma("L-HOWORKA", n_max=3, jobs=jobs)
     assert pool_sizes == []
+
+
+# sha256 of every summary and certificate line of the 30 entries at
+# min(bound, 7) and of the 18 X-INV- twins at n <= 5 (see
+# test_registry_outputs_pinned); a perf change must leave it as it is
+REGISTRY_DIGEST = "82c6ea1c524c2d6d012f0c4776c2dd4356b2fb513a0f7942b681e5e55f3069f0"
+
+
+def test_registry_outputs_pinned():
+    # one digest over every verdict count and witness the registry emits at
+    # small bounds, so a change to any of them fails mechanically
+    runs = [(verify_theorem, i, min(e.default_n_max, 7))
+            for i, e in sorted(THEOREMS.items())]
+    runs += [(verify_lemma, i, min(e.default_n_max, 7))
+             for i, e in sorted(LEMMAS.items())]
+    runs += [(verify_theorem, INVERTED_PREFIX + i, 5) for i in sorted(THEOREMS)]
+    digest = hashlib.sha256()
+    for verify, ident, n_max in runs:
+        result = verify(ident, n_max=n_max)
+        digest.update(json.dumps(result.summary(), sort_keys=True).encode() + b"\n")
+        for line in certificate_lines(result.certificates):
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == REGISTRY_DIGEST

@@ -5,7 +5,8 @@ with the table the subset scans read.  Intervals must not depend on the
 labelling (geodetic and p3 up to the 32-vertex limit), and the two geometry
 scans and the one-point extension verdict must agree on graphs of up to 10
 vertices.  The convex-set bitset must mark the table's fixpoints up to the
-guard."""
+guard, and the interval containment chains of acceptance criterion 7 must
+hold up to 16 vertices."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from convexgeom.patterns import CLAW, K3
 from convexgeom.walks import (CLOSURE_KINDS, f_free, geodetic, interval_table,
                               lk, m3, monophonic, p3, p4plus, strong, toll,
                               triangle_path, weakly_toll)
+from test_acceptance import assert_interval_chains
 from test_induced_enumerators import labelled_graphs, relabel
 
 SPECS = (geodetic(), monophonic(), m3(), lk(2), lk(3), strong(), toll(),
@@ -105,3 +107,10 @@ def test_convex_bits_are_the_table_fixpoints(case):
         table = expansion_table(g, spec)
         assert convex_bits(g, spec) == \
             sum(1 << s for s, t in enumerate(table) if s == t), spec.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_graphs())
+def test_interval_containment_chains(case):
+    # criterion 7 of the acceptance suite, beyond its exhaustive n <= 7
+    assert_interval_chains(case[0])

@@ -1,10 +1,11 @@
 import random
 from itertools import combinations
 
-from bruteforce import naive_contains_induced, naive_is_isomorphic
+from bruteforce import (backtracking_induced_embeddings, naive_contains_induced,
+                        naive_is_isomorphic)
 from convexgeom.canon import canonical_form, is_isomorphic
 from convexgeom.enumeration import connected_graphs_upto
-from convexgeom.graphs import Graph, iter_bits, mask_of
+from convexgeom.graphs import Graph, emit_graph6, iter_bits, mask_of
 from convexgeom.patterns import (
     A_GRAPH,
     CLAW,
@@ -166,3 +167,30 @@ def test_empty_and_oversized_patterns():
     assert contains_induced(g, Graph(0, ())) == ()
     assert contains_induced(g, path_graph(4)) is None
     assert list(iter_induced_embeddings(g, complete_graph(4))) == []
+
+
+# the patterns the library searches for, the Kuratowski family to order 7,
+# and the empty pattern
+SEQUENCE_PATTERNS = (GEM, HOUSE, DOMINO, A_GRAPH, CLAW, P4, K3, cycle_graph(4),
+                     cycle_graph(5), *kuratowski_family(7), Graph(0, ()))
+
+
+def _same_embedding_sequences(g):
+    for p in SEQUENCE_PATTERNS:
+        assert list(iter_induced_embeddings(g, p)) == \
+            list(backtracking_induced_embeddings(g, p)), (emit_graph6(g), p)
+
+
+def test_embeddings_match_backtracking_sequence_exhaustive():
+    # the same tuples in the same order, so contains_induced, the occurrence
+    # masks, the closure rules and every witness built on them stay the same
+    for g in connected_graphs_upto(7):
+        _same_embedding_sequences(g)
+
+
+def test_embeddings_match_backtracking_sequence_random():
+    # larger graphs, disconnected ones among them; the search has no guard
+    rng = random.Random(47)
+    for n in range(8, 17):
+        for _ in range(5):
+            _same_embedding_sequences(random_graph(n, rng.uniform(0.15, 0.6), rng))
