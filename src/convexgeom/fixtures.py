@@ -1,5 +1,6 @@
 """Named reference graphs with human-readable labels."""
 
+from .errors import UsageError
 from .graphs import Graph, bit, induced_subgraph
 
 # 7-vertex chordal graph of diameter 3 whose deck under single-vertex deletion
@@ -17,6 +18,8 @@ GEM_FIXTURE = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3),
 
 def delete_vertex(g, v):
     """Induced subgraph on the other vertices; old labels shift down."""
+    if not 0 <= v < g.n:
+        raise UsageError(f"vertex {v} is not one of the {g.n} vertices")
     return induced_subgraph(g, g.vertex_set() & ~bit(v))[0]
 
 

@@ -7,7 +7,8 @@ is single machine-word operations for the supported sizes (n <= 32).
 import math
 from functools import lru_cache
 
-from .errors import CapacityError, Graph6ParseError, GraphInputError
+from .errors import (CapacityError, Graph6ParseError, GraphInputError,
+                     UsageError)
 
 MAX_VERTICES = 32
 EXPONENTIAL_GUARD = 12
@@ -165,16 +166,6 @@ class Graph:
         adj.append(neighbors_mask)
         return Graph(self.n + 1, adj)
 
-    def relabel(self, perm):
-        """Apply vertex permutation: new vertex perm[u] plays the role of u."""
-        adj = [0] * self.n
-        for u in range(self.n):
-            row = 0
-            for v in iter_bits(self.adj[u]):
-                row |= bit(perm[v])
-            adj[perm[u]] = row
-        return Graph(self.n, adj)
-
 
 def _fill(g, n, adj):
     object.__setattr__(g, "n", n)
@@ -187,6 +178,8 @@ def induced_subgraph(g, members):
 
     Result vertex i corresponds to mapping[i] in g; adjacency is inherited.
     """
+    if members >> g.n:
+        raise UsageError(f"vertex set {members:#x} is not a subset of the {g.n} vertices")
     mapping = vertices_of(members)
     index = {v: i for i, v in enumerate(mapping)}
     adj = [0] * len(mapping)
@@ -196,40 +189,28 @@ def induced_subgraph(g, members):
     return Graph._unchecked(len(mapping), tuple(adj)), mapping
 
 
-def distances_from(g, source):
-    """BFS distance list from source; math.inf marks unreachable vertices."""
-    dist = [math.inf] * g.n
-    dist[source] = 0
-    frontier = bit(source)
-    seen = frontier
-    d = 0
+def bfs_layers(g, source):
+    """The distance layers of a BFS from source, as masks: layer d holds the
+    vertices at distance d, and together they cover source's component."""
+    layers = []
+    frontier = seen = bit(source)
     while frontier:
-        d += 1
+        layers.append(frontier)
         nxt = 0
         for v in iter_bits(frontier):
             nxt |= g.adj[v]
-        nxt &= ~seen
-        for v in iter_bits(nxt):
-            dist[v] = d
-        seen |= nxt
-        frontier = nxt
-    return dist
+        frontier = nxt & ~seen
+        seen |= frontier
+    return layers
 
 
 @lru_cache(maxsize=1 << 12)
 def diameter(g):
     """Largest pairwise distance; math.inf when g is disconnected or empty.
     Cached per graph, since several class sides ask about the same graph."""
-    if g.n == 0:
+    if not is_connected(g):
         return math.inf
-    best = 0
-    for u in range(g.n):
-        row = distances_from(g, u)
-        m = max(row)
-        if m is math.inf:
-            return math.inf
-        best = max(best, m)
-    return best
+    return max(len(bfs_layers(g, u)) for u in range(g.n)) - 1
 
 
 def component_of(g, v, allowed=None):

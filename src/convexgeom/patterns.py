@@ -15,13 +15,17 @@ enumerators yield each copy once instead: induced_cycles (a rooted
 chordless-path search, after Uno and Satoh, "An efficient algorithm for
 enumerating chordless cycles and chordless paths", DS 2014) and induced_p4s.
 So that no characterization checks one enumerator against itself, each
-theorem sends at most one of its sides through them:
+theorem sends at most one of its sides through them, and likewise through
+graphs.bfs_layers:
 
   theorem    geometry side                  class side
-  C-BIP      induced_cycles (odd lengths)   BFS 2-colouring
+  C-BIP      induced_cycles (odd lengths)   no edge inside a BFS layer
   T-M3       m3 path table                  induced_cycles (holes, C4s)
   T-FFREE    induced_cycles (K3 rules)      contains_induced
   C-P4PLUS   induced_p4s                    contains_induced(g, P4)
+  T-GEO      geodetic table (BFS layers)    chordal, no gem (no distance)
+  T-L3       lk path table                  diameter (BFS layers)
+  T-LK-NEC   lk path table                  diameter (BFS layers)
 """
 
 from functools import lru_cache

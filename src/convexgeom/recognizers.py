@@ -12,133 +12,108 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import UsageError
-from .graphs import (bit, component_of, components, diameter, iter_bits,
-                     subset_bits)
+from .graphs import (bfs_layers, bit, component_of, components, diameter,
+                     iter_bits, mask_of, subset_bits)
 from .patterns import CLAW, GEM, P4, contains_induced, induced_cycles
 
 # --- local vertex types -------------------------------------------------------
+#
+# Each type is one generator of forbidden sets: x has the type in G[within]
+# iff _*_forbidden(adj, x, within) yields nothing.  The elimination loops and
+# the *_vertices queries read it for one set; the *_types bitsets (see
+# graphs.subset_bits), in which bit s of T[x] is set iff x lies in s and has
+# the type in G[s], clear the supersets of every set it yields for V.
 
 
-def _is_simplicial_in(g, sub, v):
-    nbrs = g.adj[v] & sub
-    for u in iter_bits(nbrs):
-        if nbrs & ~g.adj[u] & ~bit(u):
-            return False
-    return True
-
-
-def _is_simple_in(g, sub, v):
-    # closed neighborhoods (within sub) of v's neighbors must form a chain;
-    # sorting by size reduces pairwise comparability to consecutive containment
-    rows = sorted(((g.adj[u] | bit(u)) & sub for u in iter_bits(g.adj[v] & sub)),
-                  key=int.bit_count)
-    return all(a & ~b == 0 for a, b in zip(rows, rows[1:]))
-
-
-def _is_semisimplicial_in(g, sub, v):
-    # internal vertex of an induced P4 means a pattern a-v-b-c with
-    # a,b in N(v) nonadjacent and c extending past b away from both
-    nbrs = g.adj[v] & sub
+def _simplicial_forbidden(adj, x, within):
+    """Two nonadjacent neighbours a, b of x."""
+    nbrs = adj[x] & within
     for a in iter_bits(nbrs):
-        for b in iter_bits(nbrs & ~g.adj[a] & ~bit(a)):
-            tail = g.adj[b] & sub & ~g.adj[v] & ~g.adj[a] & ~bit(v) & ~bit(a)
-            if tail:
-                return False
-    return True
+        for b in iter_bits(nbrs & ~adj[a] & ~((2 << a) - 1)):
+            yield bit(a) | bit(b)
+
+
+def _semisimplicial_forbidden(adj, x, within):
+    """An induced P4 a-x-b-c: a and b nonadjacent neighbours of x, c a
+    neighbour of b adjacent to neither x nor a."""
+    nbrs = adj[x] & within
+    for a in iter_bits(nbrs):
+        for b in iter_bits(nbrs & ~adj[a] & ~bit(a)):
+            for c in iter_bits(adj[b] & within & ~adj[x] & ~adj[a] & ~bit(x)):
+                yield bit(a) | bit(b) | bit(c)
+
+
+def _simple_forbidden(adj, x, within):
+    """Neighbours u, w of x whose closed neighbourhoods are not nested:
+    p in N[u] - N[w] and q in N[w] - N[u].  Without them the closed
+    neighbourhoods of x's neighbours form a chain."""
+    nbrs = adj[x] & within
+    for u in iter_bits(nbrs):
+        cu = (adj[u] | bit(u)) & within
+        for w in iter_bits(nbrs & ~((2 << u) - 1)):
+            cw = (adj[w] | bit(w)) & within
+            for p in iter_bits(cu & ~cw):
+                for q in iter_bits(cw & ~cu):
+                    yield bit(u) | bit(w) | bit(p) | bit(q)
 
 
 def simplicial_vertices(g):
-    return _collect(g, _is_simplicial_in)
+    full = g.vertex_set()
+    return mask_of(x for x in range(g.n)
+                   if not any(_simplicial_forbidden(g.adj, x, full)))
 
 
 def simple_vertices(g):
-    return _collect(g, _is_simple_in)
+    full = g.vertex_set()
+    return mask_of(x for x in range(g.n)
+                   if not any(_simple_forbidden(g.adj, x, full)))
 
 
 def semisimplicial_vertices(g):
-    return _collect(g, _is_semisimplicial_in)
-
-
-def _collect(g, pred):
-    sub = g.vertex_set()
-    out = 0
-    for v in iter_bits(sub):
-        if pred(g, sub, v):
-            out |= bit(v)
-    return out
-
-
-# Vertex types on every induced subgraph at once, as subset bitsets (see
-# graphs.subset_bits): bit s of T[x] is set iff x lies in s and has the type
-# in G[s].  Each type fails exactly when s holds x and one of a few small
-# forbidden sets, so T[x] is up[{x}] minus the supersets of those sets.
+    full = g.vertex_set()
+    return mask_of(x for x in range(g.n)
+                   if not any(_semisimplicial_forbidden(g.adj, x, full)))
 
 
 def _types(g, forbidden):
-    """T[x] = up[{x}] minus up[m + x] for every mask m in forbidden(x)."""
+    """T[x] = up[{x}] minus up[m + x] for every m that forbidden yields in V."""
     up = subset_bits(g.n)
+    full = g.vertex_set()
     out = []
     for x in range(g.n):
         bx = bit(x)
         broken = 0
-        for m in forbidden(x):
+        for m in forbidden(g.adj, x, full):
             broken |= up[m | bx]
         out.append(up[bx] & ~broken)
     return out
 
 
 def simplicial_types(g):
-    """Simplicial in G[s]: no two nonadjacent neighbours a, b of x in s."""
-    adj = g.adj
-
-    def forbidden(x):
-        for a in iter_bits(adj[x]):
-            for b in iter_bits(adj[x] & ~adj[a] & ~((2 << a) - 1)):
-                yield bit(a) | bit(b)
-    return _types(g, forbidden)
+    return _types(g, _simplicial_forbidden)
 
 
 def semisimplicial_types(g):
-    """Semisimplicial in G[s]: x is inside no induced P4 a-x-b-c of G[s]."""
-    adj = g.adj
-
-    def forbidden(x):
-        for a in iter_bits(adj[x]):
-            for b in iter_bits(adj[x] & ~adj[a] & ~bit(a)):
-                for c in iter_bits(adj[b] & ~adj[x] & ~adj[a] & ~bit(x) & ~bit(a)):
-                    yield bit(a) | bit(b) | bit(c)
-    return _types(g, forbidden)
+    return _types(g, _semisimplicial_forbidden)
 
 
 def simple_types(g):
-    """Simple in G[s]: the closed neighbourhoods in G[s] of x's neighbours
-    form a chain, so no neighbours u, w have p in N[u] - N[w] and q in
-    N[w] - N[u] inside s."""
-    adj = g.adj
-
-    def forbidden(x):
-        for u in iter_bits(adj[x]):
-            cu = adj[u] | bit(u)
-            for w in iter_bits(adj[x] & ~((2 << u) - 1)):
-                cw = adj[w] | bit(w)
-                for p in iter_bits(cu & ~cw):
-                    for q in iter_bits(cw & ~cu):
-                        yield bit(u) | bit(w) | bit(p) | bit(q)
-    return _types(g, forbidden)
+    return _types(g, _simple_forbidden)
 
 
 # --- chordality family --------------------------------------------------------
 
 
-def _eliminates(g, vertex_test):
-    """Greedy elimination: remove any vertex passing vertex_test(g, sub, v)
-    until none is left.  Sound for a hereditary class whose members are the
-    graphs with such an elimination ordering, since removing a passing vertex
-    keeps the rest inside the class."""
+def _eliminates(g, forbidden):
+    """Greedy elimination: remove any vertex of the type forbidden defines
+    in G[sub] until none is left.  Sound for a hereditary class whose members
+    are the graphs with such an elimination ordering, since removing a
+    vertex of the type keeps the rest inside the class."""
+    adj = g.adj
     sub = g.vertex_set()
     while sub:
         for v in iter_bits(sub):
-            if vertex_test(g, sub, v):
+            if not any(forbidden(adj, v, sub)):
                 sub &= ~bit(v)
                 break
         else:
@@ -155,7 +130,7 @@ def _eliminates(g, vertex_test):
 @lru_cache(maxsize=1 << 12)
 def is_chordal(g):
     """A simplicial elimination ordering exists."""
-    return _eliminates(g, _is_simplicial_in)
+    return _eliminates(g, _simplicial_forbidden)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -167,7 +142,7 @@ def is_ptolemaic(g):
 def is_strongly_chordal(g):
     """A simple elimination ordering exists (Farber, 1983).  A simple vertex
     is simplicial, so the ordering also certifies chordality."""
-    return _eliminates(g, _is_simple_in)
+    return _eliminates(g, _simple_forbidden)
 
 
 def is_weakly_polarizable(g):
@@ -266,19 +241,15 @@ def is_forest_of_stars(g):
 
 
 def is_bipartite(g):
-    color = {}
-    for comp in components(g):
-        start = (comp & -comp).bit_length() - 1
-        color[start] = 0
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in iter_bits(g.adj[v]):
-                if w not in color:
-                    color[w] = color[v] ^ 1
-                    frontier.append(w)
-                elif color[w] == color[v]:
+    """No edge inside a BFS layer: edges join equal or consecutive layers,
+    so the layers' parity 2-colours the graph iff none is inside one."""
+    todo = g.vertex_set()
+    while todo:
+        for layer in bfs_layers(g, (todo & -todo).bit_length() - 1):
+            for v in iter_bits(layer):
+                if g.adj[v] & layer:
                     return False
+            todo &= ~layer
     return True
 
 

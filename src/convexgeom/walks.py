@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import UnsupportedOracleError, UsageError
-from .graphs import Graph, bit, component_of, distances_from, iter_bits
+from .graphs import Graph, bfs_layers, bit, component_of, iter_bits
 from .paths import path_interval_rows
 
 INTERVAL_KINDS = frozenset(
@@ -123,19 +123,17 @@ def interval_table(g, spec):
         for v in range(u + 1, n):
             t[u * n + v] = t[v * n + u] = bu | 1 << v | (common & adj[v])
     if kind == "geodetic":
-        dist = [distances_from(g, u) for u in range(n)]
+        # x lies on a u-v geodesic iff d(u,x) + d(x,v) = d(u,v)
+        layers = [bfs_layers(g, u) for u in range(n)]
         for u in range(n):
-            du = dist[u]
-            for v in range(u + 1, n):
-                dv = dist[v]
-                duv = du[v]
-                if duv == float("inf"):
-                    continue
-                m = 0
-                for x in range(n):
-                    if du[x] + dv[x] == duv:
-                        m |= bit(x)
-                t[u * n + v] = t[v * n + u] = m | bit(u) | bit(v)
+            lu = layers[u]
+            for d in range(1, len(lu)):
+                for v in iter_bits(lu[d] & ~((2 << u) - 1)):
+                    lv = layers[v]
+                    m = 0
+                    for k in range(d + 1):
+                        m |= lu[k] & lv[d - k]
+                    t[u * n + v] = t[v * n + u] = m
     elif kind in _PATH_MODE or kind == "lk":
         if kind == "lk":
             mode, min_len, max_len = "induced", 0, spec.k

@@ -17,7 +17,7 @@ from convexgeom.enumeration import connected_graphs, connected_graphs_upto
 from convexgeom.errors import CapacityError
 from convexgeom.graphs import Graph
 from convexgeom.patterns import complete_graph, cycle_graph
-from test_graphs import labeled_graphs, random_graph
+from test_graphs import labeled_graphs, random_graph, relabel
 
 
 def test_relabel_invariance():
@@ -29,7 +29,7 @@ def test_relabel_invariance():
         for rep in range(5):
             perm = list(range(n))
             rng.shuffle(perm)
-            assert canonical_form(g.relabel(perm)) == form
+            assert canonical_form(relabel(g, perm)) == form
 
 
 def test_matches_naive_isomorphism_exhaustively():
@@ -81,12 +81,12 @@ def test_canonical_graph_is_isomorphic_representative():
     for perm in permutations(range(6)):
         if perm[0] > 1:
             continue
-        assert canonical_graph(g.relabel(list(perm))) == rep
+        assert canonical_graph(relabel(g, list(perm))) == rep
 
 
 def test_iso_invariant_hashable():
     g = Graph.from_edge_list(3, [(0, 1)])
-    h = g.relabel([2, 1, 0])
+    h = relabel(g, [2, 1, 0])
     assert iso_invariant(g) == iso_invariant(h)
     assert len({iso_invariant(g), iso_invariant(h)}) == 1
 
@@ -121,7 +121,7 @@ def test_generators_generate_the_automorphism_group():
         for g in connected_graphs(n):
             perm = list(range(n))
             rng.shuffle(perm)
-            h = g.relabel(perm)
+            h = relabel(g, perm)
             assert _generated_group(n, _search_generators(h)) == naive_automorphisms(h)
 
 
@@ -143,7 +143,7 @@ def test_automorphism_group_orders(g, order):
     generators = _search_generators(g)
     for gen in generators:
         assert sorted(gen) == list(range(g.n))
-        assert g.relabel(list(gen)) == g
+        assert relabel(g, list(gen)) == g
     assert len(_generated_group(g.n, generators)) == order
 
 
@@ -157,7 +157,7 @@ def test_search_order_is_the_canonical_labeling():
         for i, v in enumerate(order):
             label[v] = i
         assert form == canonical_form(g)
-        assert g.relabel(label) == decode_canonical_form(form)
+        assert relabel(g, label) == decode_canonical_form(form)
 
 
 def test_refine_colors_matches_sorted_tuple_oracle():

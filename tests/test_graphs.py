@@ -5,19 +5,23 @@ from itertools import combinations, islice
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruteforce import floyd_warshall, naive_bits
 from convexgeom.enumeration import connected_graphs_upto
-from convexgeom.errors import CapacityError, Graph6ParseError, GraphInputError
+from convexgeom.errors import (CapacityError, Graph6ParseError, GraphInputError,
+                               UsageError)
 from convexgeom.fixtures import SEVEN_FIXTURE, delete_vertex
 from convexgeom.graphs import (
     EXPONENTIAL_GUARD,
+    MAX_VERTICES,
     Graph,
+    bfs_layers,
     bit,
     component_of,
     components,
     diameter,
-    distances_from,
     emit_edge_list,
     emit_graph6,
     induced_subgraph,
@@ -42,6 +46,36 @@ def labeled_graphs(n):
 def random_graph(n, p, rng):
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edge_list(n, edges)
+
+
+def relabel(g, perm):
+    """g with its vertices permuted: new vertex perm[u] plays the role of u."""
+    adj = [0] * g.n
+    for u, v in g.edges():
+        adj[perm[u]] |= bit(perm[v])
+        adj[perm[v]] |= bit(perm[u])
+    return Graph(g.n, adj)
+
+
+@st.composite
+def labelled_graphs(draw, max_n=16):
+    """A random graph and a relabelling.  The order leans towards max_n, so
+    that few draws have one vertex (the exhaustive tests cover those).  A
+    coin picks the edge density: dense, within 0.15..0.85, or sparse, about
+    0.5 to 2 edges per vertex, which gives forests and disconnected graphs;
+    shrinking heads for sparse graphs on max_n vertices."""
+    n = max_n - draw(st.integers(0, max_n - 1))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if draw(st.booleans()):
+        density = draw(st.floats(0.15, 0.85))
+    else:
+        density = draw(st.floats(0.5, 2.0)) / n
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = random.Random(seed)
+    g = Graph.from_edge_list(n, [e for e in pairs if rng.random() < density])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return g, perm
 
 
 def test_iter_bits_matches_bit_loop():
@@ -113,7 +147,7 @@ def test_with_new_vertex_and_relabel():
     cycle = path.with_new_vertex(bit(0) | bit(2))
     assert cycle.n == 4 and sorted(cycle.edges()) == [(0, 1), (0, 3), (1, 2), (2, 3)]
     perm = (3, 1, 0, 2)
-    back = cycle.relabel(perm)
+    back = relabel(cycle, perm)
     for u in range(4):
         for v in range(4):
             if u != v:
@@ -121,7 +155,7 @@ def test_with_new_vertex_and_relabel():
     inv = [0] * 4
     for i, p in enumerate(perm):
         inv[p] = i
-    assert back.relabel(inv) == cycle
+    assert relabel(back, inv) == cycle
 
 
 def test_induced_subgraph_mapping():
@@ -131,6 +165,20 @@ def test_induced_subgraph_mapping():
     assert sorted(sub.edges()) == [(0, 1), (0, 2), (1, 2)]
     empty, empty_map = induced_subgraph(g, 0)
     assert empty.n == 0 and empty_map == ()
+
+
+def test_vertices_outside_the_graph_rejected():
+    p3 = Graph.from_edge_list(3, [(0, 1), (1, 2)])
+    p13 = Graph.from_edge_list(13, [(i, i + 1) for i in range(12)])
+    for g in (p3, p13):
+        for members in (-1, 1 << g.n, (1 << g.n) | 1):
+            with pytest.raises(UsageError, match="not a subset of the"):
+                induced_subgraph(g, members)
+        for v in (-1, g.n, 1 << g.n):
+            with pytest.raises(UsageError, match="not one of the"):
+                delete_vertex(g, v)
+        assert induced_subgraph(g, g.vertex_set()) == (g, tuple(range(g.n)))
+    assert delete_vertex(p3, 2) == Graph.from_edge_list(2, [(0, 1)])
 
 
 def _passes_validation(g):
@@ -151,8 +199,16 @@ def test_unchecked_graphs_pass_validation():
 
 
 def distances(g):
-    """Every BFS distance row of g."""
-    return [distances_from(g, u) for u in range(g.n)]
+    """Every distance row of g, read off the BFS layers; math.inf marks
+    unreachable vertices."""
+    rows = []
+    for u in range(g.n):
+        row = [math.inf] * g.n
+        for d, layer in enumerate(bfs_layers(g, u)):
+            for v in iter_bits(layer):
+                row[v] = d
+        rows.append(row)
+    return rows
 
 
 def test_distances_against_floyd_warshall():
@@ -176,7 +232,8 @@ def test_distance_triangle_inequality():
 
 def test_distances_disconnected():
     g = Graph.from_edge_list(4, [(0, 1), (2, 3)])
-    assert distances_from(g, 0) == [0, 1, math.inf, math.inf]
+    assert bfs_layers(g, 0) == [0b0001, 0b0010]
+    assert distances(g)[0] == [0, 1, math.inf, math.inf]
     assert diameter(g) is math.inf
     assert diameter(Graph(0, ())) is math.inf
     assert diameter(Graph(1, (0,))) == 0
@@ -187,8 +244,27 @@ def test_seven_vertex_fixture_distances():
     assert diameter(g) == 3
     shrunk = delete_vertex(g, 1)
     # removing the cut-ish hub vertex stretches the 1..7 distance to 4
-    assert distances_from(shrunk, 0)[shrunk.n - 1] == 4
+    assert distances(shrunk)[0][shrunk.n - 1] == 4
     assert diameter(shrunk) == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_graphs(max_n=MAX_VERTICES), st.data())
+def test_bfs_layers_properties(case, data):
+    g, _ = case
+    source = data.draw(st.integers(0, g.n - 1))
+    layers = bfs_layers(g, source)
+    assert layers[0] == bit(source)
+    seen = 0
+    for d, layer in enumerate(layers):
+        assert layer and not layer & seen
+        if d:
+            reach = 0
+            for v in iter_bits(layers[d - 1]):
+                reach |= g.adj[v]
+            assert layer == reach & ~seen
+        seen |= layer
+    assert seen == component_of(g, source)
 
 
 def test_components():

@@ -20,7 +20,7 @@ from convexgeom.walks import (CLOSURE_KINDS, f_free, geodetic, interval_table,
                               lk, m3, monophonic, p3, p4plus, strong, toll,
                               triangle_path, weakly_toll)
 from test_acceptance import assert_interval_chains
-from test_induced_enumerators import labelled_graphs, relabel
+from test_graphs import labelled_graphs, relabel
 
 SPECS = (geodetic(), monophonic(), m3(), lk(2), lk(3), strong(), toll(),
          weakly_toll(), triangle_path(), p3(), p4plus(), f_free((K3, CLAW)))

@@ -1,7 +1,7 @@
 """Source hygiene: every imported name is used by the module that imports
-it, no library function exists only for the tests, no defaulted parameter
-is left that no caller sets, and every `module.attr` that README.md names
-exists.
+it, no library function or method exists only for the tests, no defaulted
+parameter is left that no caller sets, and every `module.attr` that
+README.md names exists.
 
 No linter is installed, so these stdlib AST scans guard src/ and tests/.
 Names an __init__.py lists in __all__ count as used (re-exports).
@@ -58,23 +58,42 @@ def test_no_unused_imports():
 
 
 def _references(path, tree):
-    """(name, module path, enclosing top-level definition or None) for every
-    name read, attribute taken or string constant in a module."""
+    """(name, module path, enclosing definition or None) for every name read,
+    attribute taken or string constant in a module.  The enclosing definition
+    is the module-level function or class, or Class.method inside a method."""
     for top in tree.body:
-        owner = getattr(top, "name", None)
+        owner = dict.fromkeys(ast.walk(top), getattr(top, "name", None))
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, ast.FunctionDef):
+                    owner.update(dict.fromkeys(ast.walk(item), f"{top.name}.{item.name}"))
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
-                yield node.id, path, owner
+                yield node.id, path, owner[node]
             elif isinstance(node, ast.Attribute):
-                yield node.attr, path, owner
+                yield node.attr, path, owner[node]
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                yield node.value, path, owner
+                yield node.value, path, owner[node]
+
+
+def _definitions(tree):
+    """(qualified name, name, exported name) of every module-level function
+    and every method of a module-level class other than the dunder methods.
+    A method is public when its class is."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name, node.name
 
 
 def functions_only_tests_use(root=ROOT, exports_count=True):
-    """Module-level functions of src/convexgeom that only tests use.  A use
-    is a reference from another src/ module or from its own module outside
-    its body, an __all__ entry, or a mention in demos/ or perfbench/.  With
+    """Module-level functions and class methods of src/convexgeom that only
+    tests use.  A use is a reference from another src/ module or from its
+    own module outside its body, an __all__ entry (of the function or of the
+    method's class), or a mention in demos/ or perfbench/.  With
     exports_count=False, the package's re-exports (its __init__.py and the
     __all__ entries) are no use."""
     trees = {p: ast.parse(p.read_text()) for p in root.glob("src/convexgeom/*.py")}
@@ -90,15 +109,12 @@ def functions_only_tests_use(root=ROOT, exports_count=True):
             users.setdefault(name, set()).add((where, owner))
     found = []
     for path, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            name = node.name
+        for qualname, name, public in _definitions(tree):
             word = re.compile(rf"\b{name}\b")
-            used = (name in exported or word.search(outside)
-                    or users.get(name, set()) - {(path, name)})
+            used = (public in exported or word.search(outside)
+                    or users.get(name, set()) - {(path, qualname)})
             if not used and word.search(tests):
-                found.append(f"{path.stem}.{name}")
+                found.append(f"{path.stem}.{qualname}")
     return sorted(found)
 
 
@@ -111,14 +127,25 @@ def test_scan_finds_test_only_functions(tmp_path):
         "def helper():\n    return helper\n\n\n"
         "def used():\n    return 1\n\n\n"
         "def shown():\n    return used()\n")
+    (src / "b.py").write_text(
+        "class C:\n"
+        "    def __init__(self):\n        self.k = 0\n\n"
+        "    def lone(self):\n        return self.lone\n\n"
+        "    def inner(self):\n        return 1\n\n"
+        "    def outer(self):\n        return self.inner()\n")
     (tmp_path / "tests" / "test_a.py").write_text(
-        "from convexgeom.a import helper, shown, used\n")
-    assert functions_only_tests_use(tmp_path) == ["a.helper", "a.shown"]
-    (tmp_path / "demos" / "d.py").write_text("from convexgeom.a import shown\n")
-    assert functions_only_tests_use(tmp_path) == ["a.helper"]
-    (src / "__init__.py").write_text("from .a import helper\n__all__ = ['helper']\n")
+        "from convexgeom.a import helper, shown, used\n"
+        "from convexgeom.b import C\nC().lone(), C().outer()\n")
+    assert functions_only_tests_use(tmp_path) == ["a.helper", "a.shown",
+                                                  "b.C.lone", "b.C.outer"]
+    (tmp_path / "demos" / "d.py").write_text(
+        "from convexgeom.a import shown\nfrom convexgeom.b import C\nC().outer()\n")
+    assert functions_only_tests_use(tmp_path) == ["a.helper", "b.C.lone"]
+    (src / "__init__.py").write_text(
+        "from .a import helper\nfrom .b import C\n__all__ = ['C', 'helper']\n")
     assert functions_only_tests_use(tmp_path) == []
-    assert functions_only_tests_use(tmp_path, exports_count=False) == ["a.helper"]
+    assert functions_only_tests_use(tmp_path, exports_count=False) == ["a.helper",
+                                                                       "b.C.lone"]
 
 
 def test_no_test_only_functions():
@@ -131,6 +158,9 @@ KEPT_PUBLIC = {
     "canon.is_isomorphic":
         "the one-call isomorphism test that library users would otherwise "
         "write by comparing canonical forms",
+    "graphs.Graph.has_edge":
+        "the one-call adjacency test of the public Graph type, which library "
+        "code reads off the adjacency rows instead",
     "graphs.emit_edge_list":
         "the writer of the edge-list text that parse_edge_list and the CLI read",
     "harness.read_certificates":

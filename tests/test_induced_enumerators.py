@@ -4,12 +4,11 @@ callers, against the embedding search they replaced."""
 import random
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bruteforce import embedding_closure_rules, embedding_weakly_polarizable
 from convexgeom.engine import closure_rules
 from convexgeom.enumeration import connected_graphs_upto
-from convexgeom.graphs import Graph, bit, induced_subgraph, is_connected, iter_bits
+from convexgeom.graphs import bit, induced_subgraph, is_connected, iter_bits
 from convexgeom.harness import _odd_cycle_spec
 from convexgeom.patterns import (CLAW, HOUSE, K3, P4, all_induced_occurrences,
                                  complete_graph, cycle_graph, induced_cycles,
@@ -17,7 +16,7 @@ from convexgeom.patterns import (CLAW, HOUSE, K3, P4, all_induced_occurrences,
                                  path_graph)
 from convexgeom.recognizers import is_forest, is_weakly_polarizable
 from convexgeom.walks import f_free, p4plus
-from test_graphs import random_graph
+from test_graphs import labelled_graphs, random_graph, relabel
 
 
 def _above_guard_graphs():
@@ -64,35 +63,6 @@ def test_induced_cycles_length_bounds():
     assert induced_cycles(path_graph(5)) == []
     roofed = induced_cycles(HOUSE)
     assert sorted(m.bit_count() for m in roofed) == [3, 4]
-
-
-def relabel(g, perm):
-    adj = [0] * g.n
-    for u, v in g.edges():
-        adj[perm[u]] |= bit(perm[v])
-        adj[perm[v]] |= bit(perm[u])
-    return Graph(g.n, adj)
-
-
-@st.composite
-def labelled_graphs(draw, max_n=16):
-    """A random graph and a relabelling.  The order leans towards max_n, so
-    that few draws have one vertex (the exhaustive tests cover those).  A
-    coin picks the edge density: dense, within 0.15..0.85, or sparse, about
-    0.5 to 2 edges per vertex, which gives forests and disconnected graphs;
-    shrinking heads for sparse graphs on max_n vertices."""
-    n = max_n - draw(st.integers(0, max_n - 1))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if draw(st.booleans()):
-        density = draw(st.floats(0.15, 0.85))
-    else:
-        density = draw(st.floats(0.5, 2.0)) / n
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    rng = random.Random(seed)
-    g = Graph.from_edge_list(n, [e for e in pairs if rng.random() < density])
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return g, perm
 
 
 @settings(max_examples=60, deadline=None)

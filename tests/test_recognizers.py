@@ -39,6 +39,9 @@ from convexgeom.patterns import (
 )
 from convexgeom.recognizers import (
     CLASS_KINDS,
+    _semisimplicial_forbidden,
+    _simple_forbidden,
+    _simplicial_forbidden,
     diam_at_most,
     end_simplicial_vertices,
     find_asteroidal_triple,
@@ -118,6 +121,20 @@ def test_type_bitsets_match_per_set_oracles():
                 for x in iter_bits(within(g, s)):
                     want[x] |= 1 << s
             assert types(g) == want, (g, types.__name__)
+
+
+def test_forbidden_sets_stay_within():
+    # every subset of every connected graph to n = 6: the vertices of sub
+    # for which a generator yields nothing inside sub have the type in G[sub]
+    kinds = ((_simplicial_forbidden, simplicial_within),
+             (_semisimplicial_forbidden, semisimplicial_within),
+             (_simple_forbidden, simple_within))
+    for g in connected_graphs_upto(6):
+        for sub in range(1 << g.n):
+            for forbidden, within in kinds:
+                typed = sum(bit(x) for x in iter_bits(sub)
+                            if not any(forbidden(g.adj, x, sub)))
+                assert typed == within(g, sub), (g, sub, forbidden.__name__)
 
 
 def test_type_bitsets_refuse_above_guard():
