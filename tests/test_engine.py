@@ -19,9 +19,7 @@ from convexgeom.engine import (
     closure_rules,
     convex_bits,
     convex_extreme_bits,
-    convex_sets_with_extremes,
     expand_once,
-    expansion_table,
     extreme_vertices,
     hull,
     is_convex,
@@ -33,7 +31,8 @@ from convexgeom.engine import (
 from convexgeom.enumeration import connected_graphs, connected_graphs_upto
 from convexgeom.errors import CapacityError
 from convexgeom.fixtures import GEM_FIXTURE, SEVEN_FIXTURE, delete_vertex
-from convexgeom.graphs import EXPONENTIAL_GUARD, Graph, bit, mask_of
+from convexgeom.graphs import (EXPONENTIAL_GUARD, Graph, bit, iter_bits, mask_of,
+                               subset_bits)
 from convexgeom.harness import _kuratowski_spec, _odd_cycle_spec
 from convexgeom.patterns import CLAW, K3, P4, cycle_graph, path_graph, star_graph
 from convexgeom.recognizers import semisimplicial_vertices, simplicial_vertices
@@ -152,12 +151,14 @@ def test_convex_sets_axioms():
                     assert a & b in present, (g, spec.name, a, b)
 
 
-def test_convex_sets_with_extremes_match_single_set_queries():
+def test_extreme_bits_match_single_set_queries():
     for g in connected_graphs_upto(5):
         for spec in all_kinds(g.n):
-            want = [(s, extreme_vertices(g, spec, s))
-                    for s in all_convex_sets(g, spec)]
-            assert list(convex_sets_with_extremes(g, spec)) == want, (g, spec.name)
+            conv = convex_bits(g, spec)
+            ext = convex_extreme_bits(g, conv)
+            for s in all_convex_sets(g, spec):
+                got = sum(bit(x) for x in range(g.n) if ext[x] >> s & 1)
+                assert got == extreme_vertices(g, spec, s), (g, spec.name, s)
 
 
 def test_hull_extensive_monotone_idempotent():
@@ -303,11 +304,7 @@ def test_extremes_of_v_match_vertex_types():
 def test_capacity_guard():
     big = Graph(13, (0,) * 13)
     with pytest.raises(CapacityError):
-        expansion_table(big, geodetic())
-    with pytest.raises(CapacityError):
         all_convex_sets(big, geodetic())
-    with pytest.raises(CapacityError):
-        list(convex_sets_with_extremes(big, geodetic()))
     with pytest.raises(CapacityError):
         is_convex_geometry_mkm(big, geodetic())
     with pytest.raises(CapacityError):
@@ -327,27 +324,25 @@ def test_geometry_report_to_dict():
 
 
 def _check_subset_bits(g, spec, mkm, ae):
-    """convex_bits and the extreme bitsets against the expansion table, and
-    the one-point extension verdict against both scans' reports."""
+    """convex_bits against the fixpoints of the scan oracle's step, the
+    extreme bitsets against the members x of each fixpoint s with s - x a
+    fixpoint too, and the one-point extension verdict against both scans'
+    reports."""
     conv = convex_bits(g, spec)
-    table = expansion_table(g, spec)
-    assert conv == sum(1 << s for s, t in enumerate(table) if s == t), (g, spec.name)
+    fixed = naive_convex_bits(g, spec)
+    assert conv == fixed, (g, spec.name)
     ext = convex_extreme_bits(g, conv)
-    for s, want in convex_sets_with_extremes(g, spec):
+    for s in iter_bits(fixed):
+        want = sum(bit(x) for x in iter_bits(s) if fixed >> (s ^ bit(x)) & 1)
         assert sum(bit(x) for x in range(g.n) if ext[x] >> s & 1) == want, \
             (g, spec.name, s)
     assert is_convex_geometry(g, spec) == mkm.verdict == ae.verdict, (g, spec.name)
 
 
-def test_expansion_table_matches_scan_oracle_exhaustive():
+def test_scans_match_scan_oracle_exhaustive():
     # the subset bitsets ride along on the same graphs and specs
     for g in connected_graphs_upto(7):
         for spec in all_kinds(g.n) + [lk(4), lk(5)]:
-            table = expansion_table(g, spec)
-            expand = naive_expander(g, spec)
-            assert len(table) == 1 << g.n
-            for s, t in enumerate(table):
-                assert t == expand(s), (g, spec.name, s)
             mkm = is_convex_geometry_mkm(g, spec)
             ae = satisfies_antiexchange(g, spec)
             assert mkm == naive_mkm(g, spec), (g, spec.name)
@@ -379,6 +374,26 @@ def test_convex_bits_match_naive_expander():
     assert is_convex_geometry(empty, geodetic())
 
 
+def test_hull_is_the_least_convex_superset_exhaustive():
+    # convex sets are closed under intersection, so hull(t) lies inside every
+    # convex superset of t and is the lowest set bit of convex_bits & up[t]:
+    # the MKM and antiexchange scans read every hull that way
+    for g in connected_graphs_upto(6):
+        up = subset_bits(g.n)
+        specs = all_kinds(g.n) + [f_free((K3, CLAW))]
+        specs += filter(None, (_odd_cycle_spec(g.n), _kuratowski_spec(g.n)))
+        for spec in specs:
+            conv = convex_bits(g, spec)
+            expand = naive_expander(g, spec)
+            for t in range(1 << g.n):
+                above = conv & up[t]
+                closed = t
+                while expand(closed) != closed:
+                    closed = expand(closed)
+                assert (above & -above).bit_length() - 1 == hull(g, spec, t) == \
+                    closed, (g, spec.name, t)
+
+
 def test_subset_bits_capacity_guard():
     big = Graph(13, (0,) * 13)
     with pytest.raises(CapacityError):
@@ -396,39 +411,42 @@ def test_per_query_path_above_guard_matches_table():
     # isolated vertices lie on no path or walk between the original vertices
     # and in no occurrence of a connected pattern, so every answer on a subset
     # of the original vertices must carry over unchanged; the single-set
-    # queries fire the rules on both graphs, so both must match the table
+    # queries fire the rules on both graphs, so both must match the table of
+    # the scan oracle's step on g
     n = EXPONENTIAL_GUARD + 1
     for g in connected_graphs_upto(5):
         big = padded(g, n)
         for spec in all_kinds(n):
-            table = expansion_table(g, spec)
-            extremes = dict(convex_sets_with_extremes(g, spec))
+            table = list(map(naive_expander(g, spec), range(1 << g.n)))
             for s in range(1 << g.n):
                 closed = s
                 while table[closed] != closed:
                     closed = table[closed]
                 convex = table[s] == s
+                extremes = sum(bit(x) for x in iter_bits(s)
+                               if table[s ^ bit(x)] == s ^ bit(x))
                 for h in (g, big):
                     assert expand_once(h, spec, s) == table[s], (h, spec.name, s)
                     assert hull(h, spec, s) == closed, (h, spec.name, s)
                     assert is_convex(h, spec, s) == convex, (h, spec.name, s)
                     if convex:
-                        assert extreme_vertices(h, spec, s) == extremes[s], \
+                        assert extreme_vertices(h, spec, s) == extremes, \
                             (h, spec.name, s)
 
 
 def test_single_set_queries_build_no_table():
     # hull, is_convex, expand_once and extreme_vertices fire the rules, so a
-    # 12-vertex graph (at the guard) gets no 2^n table from them
+    # 12-vertex graph (at the guard) gets no 2^n subset bitset from them
     g = cycle_graph(EXPONENTIAL_GUARD)
     s = mask_of([0, 6])
     for spec in all_kinds(g.n):
-        before = expansion_table.cache_info()
+        before = convex_bits.cache_info(), subset_bits.cache_info()
         full = hull(g, spec, s)
         assert is_convex(g, spec, full)
         assert expand_once(g, spec, full) == full
         extreme_vertices(g, spec, full)
-        assert expansion_table.cache_info() == before, spec.name
+        assert (convex_bits.cache_info(), subset_bits.cache_info()) == before, \
+            spec.name
 
 
 @pytest.mark.parametrize("fn", [expand_once, is_convex, hull, extreme_vertices])

@@ -14,7 +14,7 @@ from convexgeom.engine import (GeometryReport, is_convex_geometry,
                                is_convex_geometry_mkm,
                                vertex_set_is_hull_of_extremes)
 from convexgeom.enumeration import connected_graphs_upto
-from convexgeom.errors import CapacityError
+from convexgeom.errors import CapacityError, Graph6ParseError
 from convexgeom.fixtures import SEVEN_FIXTURE
 from convexgeom.graphs import EXPONENTIAL_GUARD, Graph, emit_graph6, parse_graph6
 from convexgeom.patterns import path_graph
@@ -230,6 +230,12 @@ def test_read_graph6_lines(tmp_path):
     path.write_text("\n".join(emit_graph6(g) for g in graphs) + "\n\n")
     back = read_graph6_lines(path)
     assert back == graphs
+    # a malformed line is named by path and line, with its byte offset kept
+    path.write_text("Bw\n\nBw?!\n")
+    with pytest.raises(Graph6ParseError) as err:
+        read_graph6_lines(path)
+    assert str(err.value).startswith(f"{path}:3: byte 33 ")
+    assert err.value.offset == 3
 
 
 def test_lemmas_hold_at_small_sizes():

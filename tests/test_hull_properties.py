@@ -1,20 +1,24 @@
 """Hull laws on random labelled graphs of 1-14 vertices, so that the n <= 12
-guard of the expansion table is crossed: the single-set queries fire the
-(trigger, added) rules at every size, and below the guard they must agree
-with the table the subset scans read.  Intervals must not depend on the
-labelling (geodetic and p3 up to the 32-vertex limit), and the two geometry
-scans and the one-point extension verdict must agree on graphs of up to 10
-vertices.  The convex-set bitset must mark the table's fixpoints up to the
-guard, and the interval containment chains of acceptance criterion 7 must
-hold up to 16 vertices."""
+guard of the subset bitsets is crossed: the single-set queries fire the
+(trigger, added) rules at every size, and below the guard the hull must be
+the least convex superset read off the convex-set bitset, which is how the
+geometry scans read every hull, and the fixpoint of the scan oracle's step.
+Intervals must not depend on the labelling (geodetic and p3 up to the
+32-vertex limit), and the two geometry scans and the one-point extension
+verdict must agree on graphs of up to 10 vertices.  The convex-set bitset
+must mark the fixpoints of the scan oracle's step up to the guard, and the
+interval containment chains of acceptance criterion 7 must hold up to 16
+vertices."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexgeom.engine import (convex_bits, expansion_table, extreme_vertices,
-                               hull, is_convex_geometry, is_convex_geometry_mkm,
+from bruteforce import naive_convex_bits, naive_expander
+from convexgeom.engine import (convex_bits, extreme_vertices, hull,
+                               is_convex_geometry, is_convex_geometry_mkm,
                                satisfies_antiexchange)
-from convexgeom.graphs import EXPONENTIAL_GUARD, MAX_VERTICES, bit, iter_bits
+from convexgeom.graphs import (EXPONENTIAL_GUARD, MAX_VERTICES, bit, iter_bits,
+                               subset_bits)
 from convexgeom.patterns import CLAW, K3
 from convexgeom.walks import (CLOSURE_KINDS, f_free, geodetic, interval_table,
                               lk, m3, monophonic, p3, p4plus, strong, toll,
@@ -54,14 +58,18 @@ def test_hull_laws(case, s, extra):
 @settings(max_examples=200, deadline=None)
 @given(labelled_graphs(max_n=EXPONENTIAL_GUARD), MASKS)
 def test_hull_is_the_table_fixpoint(case, s):
+    # the table is the convex-set bitset, whose least set bit above s is
+    # the hull, and the fixpoint of the scan oracle's step must agree
     g, _ = case
     s &= g.vertex_set()
     for spec in SPECS:
-        table = expansion_table(g, spec)
+        above = convex_bits(g, spec) & subset_bits(g.n)[s]
+        expand = naive_expander(g, spec)
         closed = s
-        while table[closed] != closed:
-            closed = table[closed]
-        assert hull(g, spec, s) == closed, spec.name
+        while expand(closed) != closed:
+            closed = expand(closed)
+        assert hull(g, spec, s) == closed == (above & -above).bit_length() - 1, \
+            spec.name
 
 
 def assert_intervals_relabel(g, perm, specs):
@@ -102,11 +110,10 @@ def test_mkm_agrees_with_antiexchange(case):
 @settings(max_examples=60, deadline=None)
 @given(labelled_graphs(max_n=EXPONENTIAL_GUARD))
 def test_convex_bits_are_the_table_fixpoints(case):
+    # the table is the scan oracle's step over every subset
     g, _ = case
     for spec in SPECS:
-        table = expansion_table(g, spec)
-        assert convex_bits(g, spec) == \
-            sum(1 << s for s, t in enumerate(table) if s == t), spec.name
+        assert convex_bits(g, spec) == naive_convex_bits(g, spec), spec.name
 
 
 @settings(max_examples=200, deadline=None)
