@@ -6,10 +6,11 @@ search over cell-respecting permutations picks the lexicographically least
 adjacency encoding.  Equal byte strings <=> isomorphic graphs.  The same
 search also yields the canonical vertex order and generators of the
 automorphism group, which the enumerator's canonical augmentation uses.
+Discrete colorings take one loop; refinement reads graphs._BITS (n <= 12).
 """
 
 from .errors import CapacityError
-from .graphs import EXPONENTIAL_GUARD, Graph, bit, iter_bits
+from .graphs import _BITS, EXPONENTIAL_GUARD, Graph, bit
 
 
 def _refine_colors(adj):
@@ -23,21 +24,23 @@ def _refine_colors(adj):
     holds each color's count in its own base-(n+1) digit, lower colors in
     higher digits.  Equal colors mean equal degree, and between two sorted
     tuples of one length the lesser is the one with more of the first color
-    where the counts differ, so both keys sort alike."""
+    where the counts differ, so both keys sort alike.  The sum is below
+    (n+1)^(n+1), so the int color * (n+1)^(n+1) - sum sorts as (color, -sum)."""
     n = len(adj)
-    nbrs = [list(iter_bits(row)) for row in adj]
+    nbrs = [_BITS[row] for row in adj]
     colors = [len(ns) for ns in nbrs]
     count = len(set(colors))
     powers = [(n + 1) ** (n - c) for c in range(n)]
+    shift = (n + 1) ** (n + 1)
     while True:
         weight = [powers[c] for c in colors]
-        keys = [(colors[v], -sum([weight[w] for w in ns]))
-                for v, ns in enumerate(nbrs)]
+        keys = [c * shift - sum(map(weight.__getitem__, ns))
+                for c, ns in zip(colors, nbrs)]
         distinct = sorted(set(keys))
         order = {k: i for i, k in enumerate(distinct)}
         new = [order[k] for k in keys]
         # stable, or discrete: a further round would renumber nothing
-        if len(distinct) in (count, len(adj)):
+        if len(distinct) in (count, n):
             return new
         colors = new
         count = len(distinct)
@@ -73,6 +76,10 @@ def canonical_search(adj, colors):
     (u v)(l') for a leaf l' in L* whose first skipped branch lies deeper, if
     any.  By induction on that depth, l = h(l'') for a reached l'' and a
     product h of skipped transpositions, and then sigma_l = h sigma_l''.
+
+    If every cell is one vertex, the color order is the only leaf, and no
+    twin is skipped, so the search returns that leaf and no generator (Aut(G)
+    is trivial); one loop builds them instead.
     """
     n = len(adj)
     if n == 0:
@@ -132,17 +139,23 @@ def canonical_search(adj, colors):
                    [w for w in cell_remaining if w != v], child_equal)
             placed.pop()
 
-    search(0, 0, cells[0], True)
-    generators = leaf_auts
-    for u, v in sorted(twins):
-        perm = list(range(n))
-        perm[u], perm[v] = v, u
-        generators.append(tuple(perm))
+    code = 0
+    if len(cells) == n:
+        best_order, generators = [x for x, in cells], []
+        for pos, x in enumerate(best_order):
+            for w in best_order[:pos]:
+                code = (code << 1) | (adj[x] >> w & 1)
+    else:
+        search(0, 0, cells[0], True)
+        generators = leaf_auts
+        for u, v in sorted(twins):
+            perm = list(range(n))
+            perm[u], perm[v] = v, u
+            generators.append(tuple(perm))
+        for pos in range(n):
+            code = (code << pos) | best[pos]
     # the rows' bits in order, each row's first-placed vertex first, packed
     # big-endian and zero-padded to whole bytes
-    code = 0
-    for pos in range(n):
-        code = (code << pos) | best[pos]
     nbits = n * (n - 1) // 2
     pad = -nbits % 8
     form = bytes([n]) + (code << pad).to_bytes((nbits + pad) // 8, "big")
@@ -163,16 +176,13 @@ def is_isomorphic(g, h):
 def decode_canonical_form(form):
     """Rebuild the concrete graph a canonical byte string encodes."""
     n = form[0]
-    bits = []
-    for b in form[1:]:
-        for k in range(7, -1, -1):
-            bits.append((b >> k) & 1)
+    code = int.from_bytes(form[1:], "big")
+    top = 8 * len(form) - 8  # bits left to read, the first one highest
     adj = [0] * n
-    idx = 0
     for pos in range(n):
         for j in range(pos):
-            if bits[idx]:
+            top -= 1
+            if code >> top & 1:
                 adj[pos] |= bit(j)
                 adj[j] |= bit(pos)
-            idx += 1
     return Graph(n, adj)

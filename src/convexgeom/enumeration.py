@@ -29,14 +29,27 @@ candidate is accepted.  At most once: if accepted candidates (P1, S1) and
 children's w*, so some isomorphism maps v to v.  It restricts to an
 isomorphism P1 -> P2, so P1 = P2 = P, and to an automorphism of P that maps
 S1 to S2.  So S1 and S2 lie in one orbit, and only one of them is tried.
+
+Cut status comes from the parent, with no search in the child.  G - u is
+P - u plus v joined to S - u, so a vertex u of P is non-cut in G iff S
+meets every component of P - u, found once per parent (_parts_without); v
+is non-cut, as G - v = P.  So for |S| >= 2 every non-cut vertex u of P
+stays non-cut, of degree deg_P(u) + [u in S], and the deletion rule rejects
+S if some such u has deg_P(u) <= |S| - 2, or has deg_P(u) = |S| - 1 and u
+is not in S.  With d the least degree of a non-cut vertex of P,
+_neighbor_sets lists sets of at most d + 1 vertices (orbits keep size) and
+drops, by one mask test, those of d + 1 that miss a non-cut vertex of
+degree d; neither drops a set of one vertex, which the rule never rejects.
+The rule still runs: a cut vertex of P turns non-cut in G when S meets
+every component it leaves.
 """
 
 from functools import lru_cache
 from operator import itemgetter
 
 from .canon import _refine_colors, canonical_form, canonical_search
-from .errors import CapacityError
-from .graphs import Graph, iter_bits
+from .errors import CapacityError, UsageError
+from .graphs import Graph, component_of, iter_bits
 
 ENUMERATION_LIMIT = 9
 
@@ -44,29 +57,26 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853,
                     8: 11117, 9: 261080}
 
 
-def _connected_without(adj, u):
-    """Whether the graph with adjacency list adj stays connected when vertex
-    u (not the last vertex) is deleted: a bitmask search from the last vertex."""
-    rest = ((1 << len(adj)) - 1) & ~(1 << u)
-    seen = frontier = 1 << (len(adj) - 1)
-    while frontier:
-        reach = 0
-        for w in iter_bits(frontier):
-            reach |= adj[w]
-        frontier = reach & rest & ~seen
-        seen |= frontier
-    return seen == rest
+def _parts_without(parent):
+    """For each vertex u of the connected graph parent, the vertex sets of
+    the components of parent - u, as masks."""
+    parts = []
+    for u in range(parent.n):
+        rest, comps = parent.vertex_set() & ~(1 << u), []
+        while rest:
+            comps.append(component_of(parent, (rest & -rest).bit_length() - 1, rest))
+            rest &= ~comps[-1]
+        parts.append(tuple(comps))
+    return parts
 
 
-def _passes_deletion_rule(adj):
-    """True when no vertex of lower degree than the last one is a non-cut
-    vertex of the connected graph with adjacency list adj."""
-    v = len(adj) - 1
-    deg_v = adj[v].bit_count()
-    for u in range(v):
-        if adj[u].bit_count() < deg_v and _connected_without(adj, u):
-            return False
-    return True
+def _passes_deletion_rule(adj, parts):
+    """True when no vertex of lower degree than the last one is non-cut in
+    adj; parts is _parts_without of the graph less its last vertex."""
+    nbrs = adj[-1]
+    deg_v = nbrs.bit_count()
+    return not any(adj[u].bit_count() < deg_v and all([nbrs & part for part in comps])
+                   for u, comps in enumerate(parts))
 
 
 def _close(x, maps, seen):
@@ -83,24 +93,38 @@ def _close(x, maps, seen):
                 stack.append(z)
 
 
-def _orbit_representatives(m, generators):
-    """The least member of each orbit of nonempty subsets of range(m) under
-    the permutation group the generators generate."""
-    size = 1 << m
+def _orbit_representatives(m, generators, cap):
+    """The least member of each orbit of the nonempty subsets of range(m)
+    of at most cap members, under the group the generators generate."""
+    sets = [s for s in range(1, 1 << m) if s.bit_count() <= cap]
     tables = []
     for perm in generators:
         im = {1 << x: 1 << y for x, y in enumerate(perm)}
-        img = [0] * size
-        for s in range(1, size):
+        img = [0] * (1 << m)
+        # s & (s - 1) is s less its lowest member, so it is listed before s
+        for s in sets:
             img[s] = img[s & (s - 1)] | im[s & -s]
         tables.append(img)
-    seen = bytearray(size)
+    seen = bytearray(1 << m)
     reps = []
-    for s in range(1, size):
+    for s in sets:
         if not seen[s]:
             reps.append(s)
             _close(s, tables, seen)
     return reps
+
+
+def _neighbor_sets(parent, parts):
+    """One neighbor set per Aut(parent)-orbit, less those the deletion rule
+    rejects on the non-cut vertices of parent alone; parts is
+    _parts_without(parent)."""
+    p_adj = parent.adj
+    generators = canonical_search(p_adj, _refine_colors(p_adj))[2]
+    noncut = [u for u, comps in enumerate(parts) if len(comps) < 2]
+    low = min(p_adj[u].bit_count() for u in noncut)
+    lows = sum(1 << u for u in noncut if p_adj[u].bit_count() == low)
+    return [s for s in _orbit_representatives(parent.n, generators, low + 1)
+            if s.bit_count() <= low or not lows & ~s]
 
 
 def _augmentations(parent):
@@ -109,12 +133,12 @@ def _augmentations(parent):
     canonical order, which is the graph its form encodes."""
     p_adj = parent.adj
     v = len(p_adj)
-    generators = canonical_search(p_adj, _refine_colors(p_adj))[2]
-    for nbrs in _orbit_representatives(v, generators):
+    parts = _parts_without(parent)
+    for nbrs in _neighbor_sets(parent, parts):
         adj = [row | (1 << v) if nbrs >> u & 1 else row
                for u, row in enumerate(p_adj)]
         adj.append(nbrs)
-        if not _passes_deletion_rule(adj):
+        if not _passes_deletion_rule(adj, parts):
             continue
         colors = _refine_colors(adj)
         c = colors[v]
@@ -122,11 +146,11 @@ def _augmentations(parent):
         # a lower color means a degree no higher than v's; the deletion rule
         # already found every vertex of lower degree to be a cut vertex
         if any(colors[u] < c and adj[u].bit_count() == deg_v
-               and _connected_without(adj, u) for u in range(v)):
+               and all([nbrs & part for part in parts[u]]) for u in range(v)):
             continue
         form, order, auts = canonical_search(adj, colors)
         w = next(w for w in order if colors[w] == c
-                 and (w == v or _connected_without(adj, w)))
+                 and (w == v or all([nbrs & part for part in parts[w]])))
         seen = bytearray(len(adj))
         _close(w, auts, seen)
         if seen[v]:
@@ -160,19 +184,23 @@ def _graphs(n):
     return _level(n)[1]
 
 
+def _check_order(n, least):
+    if type(n) is not int:  # a bool or a float is no vertex count
+        raise UsageError(f"n must be an int, got {n!r}")
+    if not least <= n <= ENUMERATION_LIMIT:
+        raise CapacityError(f"connected graph enumeration supports "
+                            f"{least} <= n <= {ENUMERATION_LIMIT}, got {n}")
+
+
 def connected_graphs(n):
     """All connected graphs on n vertices, one per isomorphism class, in a
     deterministic order (sorted canonical encodings).  Returns a new list;
     the Graph objects in it are shared between calls."""
-    if not 1 <= n <= ENUMERATION_LIMIT:
-        raise CapacityError(
-            f"connected graph enumeration supports 1 <= n <= {ENUMERATION_LIMIT}, got {n}")
+    _check_order(n, 1)
     return list(_graphs(n))
 
 
 def connected_graphs_upto(n):
-    """Concatenation of connected_graphs(i) for i = 1..n."""
-    out = []
-    for i in range(1, n + 1):
-        out.extend(connected_graphs(i))
-    return out
+    """connected_graphs(i) for i = 1..n in one list; n is checked first."""
+    _check_order(n, 0)
+    return [g for i in range(1, n + 1) for g in _graphs(i)]

@@ -384,6 +384,8 @@ def _sweep(entry, n_max, jobs, graphs):
     it, is imported only then, so a serial run does not pay for it."""
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
+    if n_max is not None and type(n_max) is not int:
+        raise UsageError(f"n_max must be an int, got {n_max!r}")
     if n_max is not None and n_max < 1:
         raise UsageError(f"n_max must be at least 1, got {n_max}")
     if graphs is None:

@@ -7,7 +7,10 @@ sizes only.  backtracking_path_rows walks every qualifying path one at a
 time, to test the library's search over path states, and
 clique_ordering_end_vertices searches clique orderings with a memo, to test
 the library's pendant test on interval graphs too large to permute every
-ordering.  The exceptions are the canonical-form helpers and the five
+ordering.  naive_canonical_search tries every order that respects the
+refined colors it is given (those are checked against naive_refine_colors
+elsewhere), to test the library's pruned search and its one-leaf path for
+discrete colorings.  The exceptions are the canonical-form helpers and the five
 oracles at the bottom.  The helpers wrap the library's canonical form for
 tests that need a representative or a prefilter key.  The scan oracle starts
 from the library's interval tables and closure rules (checked against the
@@ -33,7 +36,7 @@ same embeddings in the same order.
 
 import math
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import networkx as nx
 
@@ -680,6 +683,36 @@ def naive_refine_colors(adj):
             return new
         colors = new
         count = len(distinct)
+
+
+def naive_canonical_search(adj, colors):
+    """(form, order) by definition: over every vertex order that lists the
+    color classes in color order, each class in any order, the least code
+    (row by row, the bits toward the earlier vertices, earliest first), and
+    the first order in itertools.product order that reaches it.  The form is
+    n, then the code's bits in bytes, big-endian, zero-padded."""
+    n = len(adj)
+    cells = [[v for v in range(n) if colors[v] == c] for c in sorted(set(colors))]
+    best = None
+    for parts in product(*[permutations(cell) for cell in cells]):
+        order = [v for part in parts for v in part]
+        bits = [adj[x] >> w & 1 for pos, x in enumerate(order) for w in order[:pos]]
+        if best is None or bits < best[0]:
+            best = bits, order
+    bits, order = best
+    bits += [0] * (-len(bits) % 8)
+    form = bytes([n]) + bytes(int("".join(map(str, bits[i:i + 8])), 2)
+                              for i in range(0, len(bits), 8))
+    return form, tuple(order)
+
+
+def naive_passes_deletion_rule(g):
+    """The enumerator's deletion rule by definition: no vertex of lower
+    degree than the last one leaves g connected when it is deleted."""
+    v = g.n - 1
+    return not any(g.degree(u) < g.degree(v)
+                   and _is_connected(induced_subgraph(g, g.vertex_set() & ~bit(u))[0])
+                   for u in range(v))
 
 
 # --- canonical-form helpers -------------------------------------------------

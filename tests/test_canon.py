@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import networkx as nx
 import pytest
 
 from bruteforce import (canonical_graph, iso_invariant, naive_automorphisms,
-                        naive_is_isomorphic, naive_refine_colors)
+                        naive_canonical_search, naive_is_isomorphic,
+                        naive_refine_colors)
 from convexgeom.canon import (
     _refine_colors,
     canonical_form,
@@ -169,3 +171,21 @@ def test_refine_colors_matches_sorted_tuple_oracle():
     for trial in range(300):
         g = random_graph(rng.randrange(0, 13), rng.random(), rng)
         assert _refine_colors(g.adj) == naive_refine_colors(g.adj), g
+
+
+def test_canonical_search_matches_naive_search():
+    # every connected graph to n = 6 and seeded random graphs to n = 8, on
+    # both paths: discrete colors (one leaf) and the pruned search
+    rng = random.Random(31)
+    graphs = connected_graphs_upto(6) + [
+        random_graph(rng.randrange(0, 9), rng.random(), rng) for _ in range(120)]
+    paths = Counter()
+    for g in graphs:
+        colors = _refine_colors(g.adj)
+        form, order, generators = canonical_search(g.adj, colors)
+        assert (form, order) == naive_canonical_search(g.adj, colors), g
+        discrete = len(set(colors)) == g.n
+        paths[discrete] += 1
+        if discrete:
+            assert generators == []
+    assert paths[True] and paths[False]

@@ -14,7 +14,7 @@ from convexgeom.engine import (GeometryReport, is_convex_geometry,
                                is_convex_geometry_mkm,
                                vertex_set_is_hull_of_extremes)
 from convexgeom.enumeration import connected_graphs_upto
-from convexgeom.errors import CapacityError, Graph6ParseError
+from convexgeom.errors import CapacityError, Graph6ParseError, UsageError
 from convexgeom.fixtures import SEVEN_FIXTURE
 from convexgeom.graphs import EXPONENTIAL_GUARD, Graph, emit_graph6, parse_graph6
 from convexgeom.patterns import path_graph
@@ -183,6 +183,15 @@ def test_empty_graph_list_rejected():
             verify_theorem("T-P3", graphs=graphs)
         with pytest.raises(ValueError, match="no graphs"):
             verify_lemma("L-HOWORKA", graphs=graphs)
+
+
+def test_non_int_n_max_rejected():
+    # a float bound used to reach range() inside the enumerator
+    for n_max in (3.5, "3", True):
+        with pytest.raises(UsageError, match="n_max must be an int"):
+            verify_theorem("T-P3", n_max=n_max)
+        with pytest.raises(UsageError, match="n_max must be an int"):
+            verify_lemma("L-HOWORKA", n_max=n_max, graphs=connected_graphs_upto(3))
 
 
 def test_graph_above_n_max_rejected():
