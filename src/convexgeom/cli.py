@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import sys
 
 from .engine import (all_convex_sets, extreme_vertices, hull, is_convex,
@@ -367,7 +368,14 @@ def run(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()           # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (convexgeom enumerate | head): no input
+        # fault, and the interpreter's last flush must not report one either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141                   # 128 + SIGPIPE, as a shell reports it
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

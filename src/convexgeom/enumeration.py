@@ -49,7 +49,7 @@ from operator import itemgetter
 
 from .canon import _refine_colors, canonical_form, canonical_search
 from .errors import CapacityError, UsageError
-from .graphs import Graph, component_of, iter_bits
+from .graphs import Graph, components, iter_bits
 
 ENUMERATION_LIMIT = 9
 
@@ -60,14 +60,8 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853,
 def _parts_without(parent):
     """For each vertex u of the connected graph parent, the vertex sets of
     the components of parent - u, as masks."""
-    parts = []
-    for u in range(parent.n):
-        rest, comps = parent.vertex_set() & ~(1 << u), []
-        while rest:
-            comps.append(component_of(parent, (rest & -rest).bit_length() - 1, rest))
-            rest &= ~comps[-1]
-        parts.append(tuple(comps))
-    return parts
+    full = parent.vertex_set()
+    return [tuple(components(parent, full & ~(1 << u))) for u in range(parent.n)]
 
 
 def _passes_deletion_rule(adj, parts):

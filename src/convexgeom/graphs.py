@@ -229,13 +229,14 @@ def component_of(g, v, allowed=None):
     return comp
 
 
-def components(g):
-    """List of component bitmasks in ascending order of least vertex."""
+def components(g, allowed=None):
+    """List of the component bitmasks of the induced subgraph on allowed
+    (default: all of g), in ascending order of least vertex."""
     out = []
-    remaining = g.vertex_set()
+    remaining = g.vertex_set() if allowed is None else allowed
     while remaining:
         v = (remaining & -remaining).bit_length() - 1
-        comp = component_of(g, v)
+        comp = component_of(g, v, remaining)
         out.append(comp)
         remaining &= ~comp
     return out

@@ -382,6 +382,8 @@ def _sweep(entry, n_max, jobs, graphs):
     """Sweep one entry; jobs > 1 splits the graphs over a process pool of at
     most os.cpu_count() workers.  The pool module, and multiprocessing with
     it, is imported only then, so a serial run does not pay for it."""
+    if type(jobs) is not int:
+        raise UsageError(f"jobs must be an int, got {jobs!r}")
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     if n_max is not None and type(n_max) is not int:

@@ -3,15 +3,16 @@
 A row only needs the union of the vertex sets of the qualifying paths per
 endpoint, so the search never lists paths.  Whether a path may grow by one
 vertex w, and whether the longer path qualifies, depends only on a small
-state, and the length is popcount(mask) - 1, so min_len and max_len need
-no state of their own.  Each search keeps a ban mask: the path plus the
-neighbours of every path vertex a chord to the next vertex may not reach.
-The candidates for w are then the neighbours of the last vertex outside it.
+state.  Each search keeps a ban mask: the path plus the neighbours of every
+path vertex a chord to the next vertex may not reach.  The candidates for w
+are then the neighbours of the last vertex outside it.  Every qualifying
+path is recorded; only the induced search takes a length cap (for lk).
 
 Modes:
   induced   no chords at all.  State: (vertex mask, last vertex).  An
             induced path from the source is fixed by its vertex set and its
             endpoint, so no two paths share a state and no seen-set is kept.
+            The length is popcount(mask) - 1, so the cap needs no state.
   strong    no odd chord (odd positional distance > 1), no chord at either
             end.  State: (the vertices whose positions have the parity of
             the last vertex's, the other vertices, last vertex).  A chord
@@ -35,48 +36,41 @@ from .graphs import iter_bits
 MODES = ("induced", "strong", "triangle")
 
 
-def _induced_rows(adj, source, min_len, max_len, rows):
+def _induced_rows(adj, source, max_len, rows):
     # ban = mask plus the neighbours of every path vertex but the last
-    stack = [(1 << source, source, 1 << source)]
+    stack = [(1 << source, source, 1 << source)] if max_len > 0 else []
     while stack:
         mask, last, ban = stack.pop()
-        length = mask.bit_count()         # of each one-vertex extension
-        record = length >= min_len
-        grow = length < max_len
+        grow = mask.bit_count() < max_len    # edges of each extension
         child_ban = ban | adj[last]
         for w in iter_bits(adj[last] & ~ban):
             m = mask | 1 << w
-            if record:
-                rows[w] |= m
+            rows[w] |= m
             if grow:
                 stack.append((m, w, child_ban))
 
 
-def _triangle_rows(adj, source, min_len, max_len, rows):
+def _triangle_rows(adj, source, rows):
     # ban = mask plus the neighbours of every path vertex but the last two
     n = len(adj)
     seen = set()
     stack = [(1 << source, source, source, 1 << source)]
     while stack:
         mask, second, last, ban = stack.pop()
-        length = mask.bit_count()
-        record = length >= min_len
-        grow = length < max_len
+        merge = mask.bit_count() >= 4
         child_ban = ban if second == last else ban | adj[second]
         for w in iter_bits(adj[last] & ~ban):
             m = mask | 1 << w
-            if record:
-                rows[w] |= m
-            if grow:
-                if length >= 4:
-                    key = (m * n + last) * n + w
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                stack.append((m, last, w, child_ban | 1 << w))
+            rows[w] |= m
+            if merge:
+                key = (m * n + last) * n + w
+                if key in seen:
+                    continue
+                seen.add(key)
+            stack.append((m, last, w, child_ban | 1 << w))
 
 
-def _strong_rows(adj, source, min_len, max_len, rows):
+def _strong_rows(adj, source, rows):
     # same / other: the path vertices with the last vertex's parity and the
     # rest; near: the neighbours of same minus the last vertex; near_other:
     # the neighbours of other
@@ -87,9 +81,7 @@ def _strong_rows(adj, source, min_len, max_len, rows):
     while stack:
         same, other, last, near, near_other = stack.pop()
         mask = same | other
-        length = mask.bit_count()
-        record = length >= min_len
-        grow = length < max_len
+        merge = mask.bit_count() >= 4
         ban = mask | near
         if last != source:
             ban |= banned_by_source
@@ -97,33 +89,31 @@ def _strong_rows(adj, source, min_len, max_len, rows):
         child_near_other = near | adj[last]
         for w in iter_bits(adj[last] & ~ban):
             bw = 1 << w
-            if record and adj[w] & mask == lastbit:
+            if adj[w] & mask == lastbit:
                 rows[w] |= mask | bw
-            if grow:
-                child_same = other | bw
-                if length >= 4:
-                    key = ((child_same << n) | same) * n + w
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                stack.append((child_same, same, w, near_other,
-                              child_near_other))
+            child_same = other | bw
+            if merge:
+                key = ((child_same << n) | same) * n + w
+                if key in seen:
+                    continue
+                seen.add(key)
+            stack.append((child_same, same, w, near_other, child_near_other))
 
 
-_SEARCH = {"induced": _induced_rows, "strong": _strong_rows,
-           "triangle": _triangle_rows}
+_SEARCH = {"strong": _strong_rows, "triangle": _triangle_rows}
 
 
-def path_interval_rows(g, source, mode, min_len=0, max_len=None):
+def path_interval_rows(g, source, mode, max_len=None):
     """For one source, OR together the vertex masks of qualifying paths per
-    endpoint; rows[w] covers all qualifying source-w paths of length in
-    [min_len, max_len].  The paths are never materialized."""
+    endpoint: rows[w] covers every qualifying source-w path, in induced mode
+    only those of at most max_len edges.  The paths are never materialized."""
     if mode not in MODES:
         raise ValueError(f"unknown path mode {mode!r}")
-    n = g.n
-    rows = [0] * n
-    if max_len is None:
-        max_len = n - 1
-    if max_len > 0:
-        _SEARCH[mode](g.adj, source, min_len, max_len, rows)
+    rows = [0] * g.n
+    if mode == "induced":
+        _induced_rows(g.adj, source, g.n - 1 if max_len is None else max_len, rows)
+    elif max_len is None:
+        _SEARCH[mode](g.adj, source, rows)
+    else:
+        raise ValueError(f"{mode} paths take no length cap")
     return rows

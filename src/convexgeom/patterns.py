@@ -20,7 +20,7 @@ graphs.bfs_layers:
 
   theorem    geometry side                  class side
   C-BIP      induced_cycles (odd lengths)   no edge inside a BFS layer
-  T-M3       m3 path table                  induced_cycles (holes, C4s)
+  T-M3       m3 off the monophonic table    induced_cycles (holes, C4s)
   T-FFREE    induced_cycles (K3 rules)      contains_induced
   C-P4PLUS   induced_p4s                    contains_induced(g, P4)
   T-GEO      geodetic table (BFS layers)    chordal, no gem (no distance)
@@ -217,22 +217,22 @@ def iter_induced_embeddings(g, p):
             untried[pos] = nxt[pos]
 
 
-def induced_cycles(g, min_len=3, max_len=None):
-    """Vertex masks of the induced cycles of g with min_len..max_len vertices,
+def induced_cycles(g, min_size=3, max_size=None):
+    """Vertex masks of the induced cycles of g with min_size..max_size vertices,
     each once, ascending.  A cycle is grown from its least vertex r as an
     induced path over vertices above r: a vertex is banned once it neighbours
     an interior path vertex, and the path closes on the first vertex that
     neighbours r, counted only when it exceeds the second vertex."""
-    max_len = g.n if max_len is None else max_len
+    max_size = g.n if max_size is None else max_size
     adj = g.adj
     out = []
 
     def grow(last, path, ban, size):
         step = adj[last] & above & ~path & ~ban
-        if min_len <= size + 1 <= max_len:
+        if min_size <= size + 1 <= max_size:
             for w in iter_bits(step & closers):
                 out.append(path | bit(w))
-        if size + 2 <= max_len:
+        if size + 2 <= max_size:
             for w in iter_bits(step & ~ring):
                 grow(w, path | bit(w), ban | adj[last], size + 1)
 

@@ -12,8 +12,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import UsageError
-from .graphs import (bfs_layers, bit, component_of, components, diameter,
-                     iter_bits, mask_of, subset_bits)
+from .graphs import (bfs_layers, bit, components, diameter, iter_bits,
+                     mask_of, subset_bits)
 from .patterns import CLAW, GEM, P4, contains_induced, induced_cycles
 
 # --- local vertex types -------------------------------------------------------
@@ -172,17 +172,8 @@ def is_weakly_polarizable(g):
 def _reach_avoiding(g):
     """reach[c][x]: the component of x in G - N[c], for every x outside N[c]."""
     full = g.vertex_set()
-    reach = []
-    for c in range(g.n):
-        allowed = full & ~(g.adj[c] | bit(c))
-        comp_id = {}
-        for m in iter_bits(allowed):
-            if m not in comp_id:
-                comp = component_of(g, m, allowed)
-                for w in iter_bits(comp):
-                    comp_id[w] = comp
-        reach.append(comp_id)
-    return reach
+    return [{w: comp for comp in components(g, full & ~(g.adj[c] | bit(c)))
+             for w in iter_bits(comp)} for c in range(g.n)]
 
 
 def find_asteroidal_triple(g):

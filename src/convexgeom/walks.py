@@ -1,9 +1,10 @@
 """Per-convexity interval oracles.
 
 Every path convexity gets I(u,v) = endpoints plus the union of qualifying
-p-walk vertex sets.  The toll and weakly toll intervals are computed by
-polynomial component-reachability decisions rather than walk search; the
-bounded walk oracle that validates them lives with the test oracles in
+p-walk vertex sets.  The m3 intervals are read off the monophonic ones, and
+the toll and weakly toll intervals are computed by polynomial
+component-reachability decisions rather than walk search; the bounded walk
+oracle that validates them lives with the test oracles in
 tests/bruteforce.py and shares no code with them.
 """
 
@@ -98,10 +99,8 @@ def p4plus():
     return ConvexitySpec("p4plus")
 
 
-_PATH_MODE = {"monophonic": ("induced", 0, None),
-              "m3": ("induced", 3, None),
-              "strong": ("strong", 0, None),
-              "trianglePath": ("triangle", 0, None)}
+_PATH_MODE = {"monophonic": "induced", "lk": "induced", "strong": "strong",
+              "trianglePath": "triangle"}
 
 
 @lru_cache(maxsize=1 << 14)
@@ -113,6 +112,11 @@ def interval_table(g, spec):
     n = g.n
     adj = g.adj
     kind = spec.kind
+    if kind == "m3":
+        # an inner vertex of an induced u-v path lies in N(u) & N(v) iff the
+        # path has 2 edges (more give a chord): I_m3 = I_mono - N(u) & N(v)
+        mono = interval_table(g, monophonic())
+        return tuple(mono[i] & ~(adj[i // n] & adj[i % n]) for i in range(n * n))
     # every interval holds its endpoints; a p3 interval is exactly the
     # endpoints plus their common neighbors, so it is final after this pass
     t = [0] * (n * n)
@@ -134,14 +138,10 @@ def interval_table(g, spec):
                     for k in range(d + 1):
                         m |= lu[k] & lv[d - k]
                     t[u * n + v] = t[v * n + u] = m
-    elif kind in _PATH_MODE or kind == "lk":
-        if kind == "lk":
-            mode, min_len, max_len = "induced", 0, spec.k
-        else:
-            mode, min_len, max_len = _PATH_MODE[kind]
+    elif kind in _PATH_MODE:
         # only rows v > u are read, so the last source has nothing to add
         for u in range(n - 1):
-            rows = path_interval_rows(g, u, mode, min_len=min_len, max_len=max_len)
+            rows = path_interval_rows(g, u, _PATH_MODE[kind], max_len=spec.k)
             for v in range(u + 1, n):
                 if rows[v]:
                     t[u * n + v] |= rows[v]

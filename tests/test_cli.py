@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -410,6 +413,22 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "no-such-command")[0] == 2
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "verify", "--help")[0] == 0
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_closed_stdout_is_not_an_input_error(n):
+    # a reader that closes the pipe early (convexgeom enumerate | head -1):
+    # at n = 8 the output outgrows the pipe buffer, at n = 5 the closed pipe
+    # shows only when stdout is flushed
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen([sys.executable, "-c", "from convexgeom.cli import main; main()",
+                             "enumerate", "--n", str(n)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_parser_builds():

@@ -194,6 +194,15 @@ def test_non_int_n_max_rejected():
             verify_lemma("L-HOWORKA", n_max=n_max, graphs=connected_graphs_upto(3))
 
 
+def test_non_int_jobs_rejected():
+    # a float jobs used to reach the chunk slicing as a bare TypeError
+    for jobs in (1.5, "2", True):
+        with pytest.raises(UsageError, match="jobs must be an int"):
+            verify_theorem("T-P3", n_max=3, jobs=jobs)
+        with pytest.raises(UsageError, match="jobs must be an int"):
+            verify_lemma("L-HOWORKA", n_max=3, jobs=jobs)
+
+
 def test_graph_above_n_max_rejected():
     # the summary reports n_max, so it must bound every swept graph
     graphs = connected_graphs_upto(4) + [path_graph(8), path_graph(6)]
