@@ -16,7 +16,8 @@ chordless-path search, after Uno and Satoh, "An efficient algorithm for
 enumerating chordless cycles and chordless paths", DS 2014) and induced_p4s.
 So that no characterization checks one enumerator against itself, each
 theorem sends at most one of its sides through them, and likewise through
-graphs.bfs_layers:
+graphs.bfs_layers.  Both sides of the toll rows read graphs.components; the
+tests hold them to the walk oracle and naive_asteroidal_triple (bruteforce):
 
   theorem    geometry side                  class side
   C-BIP      induced_cycles (odd lengths)   no edge inside a BFS layer
@@ -26,6 +27,8 @@ graphs.bfs_layers:
   T-GEO      geodetic table (BFS layers)    chordal, no gem (no distance)
   T-L3       lk path table                  diameter (BFS layers)
   T-LK-NEC   lk path table                  diameter (BFS layers)
+  T-TOLL     toll sides (components)        chordal, no asteroidal triple
+  T-WTOLL    weakly toll sides (components) as T-TOLL, and claw-free
 """
 
 from functools import lru_cache

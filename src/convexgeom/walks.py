@@ -1,18 +1,17 @@
 """Per-convexity interval oracles.
 
 Every path convexity gets I(u,v) = endpoints plus the union of qualifying
-p-walk vertex sets.  The m3 intervals are read off the monophonic ones, and
-the toll and weakly toll intervals are computed by polynomial
-component-reachability decisions rather than walk search; the bounded walk
-oracle that validates them lives with the test oracles in
-tests/bruteforce.py and shares no code with them.
+p-walk vertex sets.  The m3 intervals are read off the monophonic ones, the
+toll and weakly toll ones off the components of G - N[u] and G - N[v] (see
+_sides) without walk search.  The bounded walk oracle that validates them
+lives in tests/bruteforce.py and shares no code with them.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import UnsupportedOracleError, UsageError
-from .graphs import Graph, bfs_layers, bit, component_of, iter_bits
+from .graphs import Graph, bfs_layers, components, iter_bits
 from .paths import path_interval_rows
 
 INTERVAL_KINDS = frozenset(
@@ -32,8 +31,8 @@ class ConvexitySpec:
         if self.kind not in ALL_KINDS:
             raise UsageError(f"unknown convexity kind {self.kind!r}")
         if self.kind == "lk":
-            if self.k is None or self.k < 1:
-                raise UsageError("lk convexity requires k >= 1")
+            if type(self.k) is not int or self.k < 1:
+                raise UsageError(f"lk convexity requires an int k >= 1, got {self.k!r}")
         elif self.k is not None:
             raise UsageError(f"{self.kind} takes no k parameter")
         if self.kind == "fFree":
@@ -146,11 +145,13 @@ def interval_table(g, spec):
                 if rows[v]:
                     t[u * n + v] |= rows[v]
                     t[v * n + u] = t[u * n + v]
-    elif kind in _WALK_PAIR:
-        pair = _WALK_PAIR[kind]
+    elif kind in ("toll", "weaklyToll"):
+        # an adjacent pair has side 0 and keeps {u, v}
+        side = [_sides(g, u, kind == "weaklyToll") for u in range(n)]
         for u in range(n):
             for v in range(u + 1, n):
-                t[u * n + v] = t[v * n + u] = pair(g, u, v)
+                t[u * n + v] |= side[u][v] & side[v][u]
+                t[v * n + u] = t[u * n + v]
     return tuple(t)
 
 
@@ -161,63 +162,37 @@ def interval(g, spec, u, v):
     return interval_table(g, spec)[u * g.n + v]
 
 
-# --- toll / weakly toll decisions --------------------------------------------
-#
-# With u,v nonadjacent put A = N(u)\N[v], B = N(v)\N[u], R = everything
-# outside N[u] u N[v].  The positional constraints force a tolled walk to be
-# u, a, (simple excursion in R), b, v with a in A u (N(u) n N(v) shortcut for
-# length 2) appearing exactly once, so membership collapses to component
-# reachability questions inside R.  Weakly toll walks may revisit their
-# second and second-to-last vertices, which turns the same analysis into
-# whole-component absorption.
+def _sides(g, u, weak):
+    """side[v] for every v outside N[u], 0 on N[u]: N[K] for the component K
+    of v in G - N[u], whose rim N(K) lies in N(u); with weak, also each other
+    component K' of G - N[u] with N(K') & N(K) nonempty.  For nonadjacent
+    u, v, side_u[v] & side_v[u] is I(u,v) - {u, v}.
 
-
-def _toll_pair(g, u, v):
-    if g.adj[u] & bit(v):
-        return bit(u) | bit(v)
-    au, av = g.adj[u], g.adj[v]
-    common = au & av
-    a_side = au & ~av & ~bit(v)
-    b_side = av & ~au & ~bit(u)
-    r = g.vertex_set() & ~(au | av | bit(u) | bit(v))
-    res = bit(u) | bit(v) | common
-    comps_a = {a: component_of(g, a, r | bit(a)) for a in iter_bits(a_side)}
-    comps_b = {b: component_of(g, b, r | bit(b)) for b in iter_bits(b_side)}
-    union_a = 0
-    for a, ca in comps_a.items():
-        union_a |= ca
-        for b in iter_bits(b_side):
-            if g.adj[b] & ca:
-                res |= bit(a)
-                break
-    union_b = 0
-    for b, cb in comps_b.items():
-        union_b |= cb
-        for a in iter_bits(a_side):
-            if g.adj[a] & cb:
-                res |= bit(b)
-                break
-    res |= r & union_a & union_b
-    return res
-
-
-def _weakly_toll_pair(g, u, v):
-    if g.adj[u] & bit(v):
-        return bit(u) | bit(v)
-    au, av = g.adj[u], g.adj[v]
-    common = au & av
-    a_side = au & ~av & ~bit(v)
-    b_side = av & ~au & ~bit(u)
-    r = g.vertex_set() & ~(au | av | bit(u) | bit(v))
-    res = bit(u) | bit(v)
-    for c in iter_bits(common):
-        res |= component_of(g, c, r | bit(c))
-    for a in iter_bits(a_side):
-        for b in iter_bits(b_side):
-            comp = component_of(g, a, r | bit(a) | bit(b))
-            if comp & bit(b):
-                res |= comp
-    return res
-
-
-_WALK_PAIR = {"toll": _toll_pair, "weaklyToll": _weakly_toll_pair}
+    Toll (Alcón et al., "Toll convexity", European J. Combin. 46, 2015): x
+    not in {u, v} is on a tolled u-v walk iff N[u] - x does not separate x
+    from v, nor N[v] - x x from u; x != u reaches v in G - (N[u] - x) iff x
+    is in N[K].  Weakly toll (Dourado, Gutierrez, Protti and Tondato, "Weakly
+    toll convexity and proper interval graphs", 2022): x is on a weakly toll
+    walk iff x reaches v in G - (N[u] - a) for some a in N(u), and likewise
+    with u and v swapped.  =>: the walk's only vertex adjacent to u is its
+    second vertex a; drop each a-u-a detour from the part after x.  <=: cut
+    the x-v path at its first vertex b1 in N(v), the x-u path at its first
+    a1 in N(u).  If a is on the cut x-v path, walk u, a, back along it to x,
+    forward to b1, then v; likewise with u and v swapped.  Otherwise both
+    cut paths avoid N[u] and N[v] but at their ends, and u, a1, (x-u path
+    reversed), (x-v path), v is the walk.  Union over a: the weak side."""
+    comps = components(g, g.vertex_set() & ~(g.adj[u] | 1 << u))
+    closed = []
+    for k in comps:
+        nk = k
+        for w in iter_bits(k):
+            nk |= g.adj[w]
+        closed.append(nk)
+    side = [0] * g.n
+    for k, nk in zip(comps, closed):
+        if weak:
+            # the sum of disjoint components; distinct N[K]s meet only in rims
+            nk |= sum(k2 for k2, nk2 in zip(comps, closed) if nk2 & nk)
+        for v in iter_bits(k):
+            side[v] = nk
+    return side

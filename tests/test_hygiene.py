@@ -1,7 +1,7 @@
 """Source hygiene: every imported name is used by the module that imports
 it, no library function or method exists only for the tests, no defaulted
-parameter is left that no caller sets, and every `module.attr` that
-README.md names exists.
+parameter is left that no caller sets, every `module.attr` that README.md
+names exists, and the geometry and class sides of the theorems import apart.
 
 No linter is installed, so these stdlib AST scans guard src/ and tests/.
 Names an __init__.py lists in __all__ count as used (re-exports).
@@ -325,3 +325,55 @@ def test_scan_finds_dangling_readme_references(tmp_path):
 
 def test_readme_references_resolve():
     assert dangling_readme_references() == []
+
+
+def package_imports(path, root=ROOT):
+    """Modules of src/convexgeom that the module at path imports from,
+    directly or through a name the package's __init__.py re-exports."""
+    src = root / "src" / "convexgeom"
+    modules = {p.stem for p in src.glob("*.py")}
+    reexported = {a.asname or a.name: node.module
+                  for node in ast.parse((src / "__init__.py").read_text()).body
+                  if isinstance(node, ast.ImportFrom) for a in node.names}
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("convexgeom."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if not module.startswith("convexgeom"):
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(a.name if a.name in modules else reexported.get(a.name)
+                             for a in node.names)
+    return found & modules
+
+
+def test_scan_finds_package_imports(tmp_path):
+    src = tmp_path / "src" / "convexgeom"
+    src.mkdir(parents=True)
+    for name in ("a", "b", "c", "d", "e"):
+        (src / f"{name}.py").write_text("")
+    (src / "__init__.py").write_text("from .e import f\n")
+    (src / "m.py").write_text(
+        "import os\nimport convexgeom.a\nfrom .b import g\n"
+        "from convexgeom.c import h\nfrom . import d, f\nfrom os import path\n")
+    assert package_imports(src / "m.py", tmp_path) == {"a", "b", "c", "d", "e"}
+
+
+# Each theorem compares a geometry side (intervals, hulls, convex sets) with
+# a class side (recognizers); a helper shared across the two could let one
+# bug hide on both sides at once.
+GEOMETRY_SIDE = ("engine", "walks", "paths")
+
+
+def test_theorem_sides_import_apart():
+    src = ROOT / "src" / "convexgeom"
+    for module in GEOMETRY_SIDE:
+        assert "recognizers" not in package_imports(src / f"{module}.py"), module
+    assert not package_imports(src / "recognizers.py") & set(GEOMETRY_SIDE)

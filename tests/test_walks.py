@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,9 +9,9 @@ from bruteforce import (all_walks, bounded_walk_hits, bounded_walk_oracle,
                         is_weakly_toll_walk, naive_interval)
 from convexgeom.engine import expand_once
 from convexgeom.enumeration import connected_graphs, connected_graphs_upto
-from convexgeom.errors import UnsupportedOracleError
+from convexgeom.errors import UnsupportedOracleError, UsageError
 from convexgeom.fixtures import GEM_FIXTURE
-from convexgeom.graphs import Graph, bit, mask_of
+from convexgeom.graphs import Graph, bit, is_connected, mask_of
 from convexgeom.patterns import K3, cycle_graph, path_graph, star_graph
 from convexgeom.recognizers import find_asteroidal_triple, is_ptolemaic
 from convexgeom.walks import (
@@ -61,6 +63,14 @@ def test_spec_validation():
         ConvexitySpec("fFree", family=(Graph(1, (0,)),))
     with pytest.raises(ValueError):
         ConvexitySpec("monophonic", family=(K3,))
+
+
+def test_lk_rejects_non_int_k():
+    # a cap of 2.5 would admit paths of three edges under the name l2.5, True
+    # would be named lTrue, and "3" does not compare with 1
+    for k in (2.5, True, "3"):
+        with pytest.raises(UsageError, match="int k"):
+            lk(k)
 
 
 def test_spec_names_and_oracle_flags():
@@ -144,6 +154,26 @@ def test_toll_decisions_match_bounded_oracle_sampled():
             for kind, spec in (("toll", toll()), ("weaklyToll", weakly_toll())):
                 assert bool(interval(g, spec, u, v) >> x & 1) == \
                     bounded_walk_oracle(g, kind, u, v, x)
+
+
+def test_toll_tables_match_walk_oracle_random():
+    # every pair of 30 seeded graphs at n = 9..14 from the table bench's
+    # generator, some disconnected: a pair in two components has no walk, so
+    # its interval is the endpoints alone
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_tables.py"
+    source = importlib.util.spec_from_file_location("bench_tables", path)
+    bench = importlib.util.module_from_spec(source)
+    source.loader.exec_module(bench)
+    graphs = [Graph.from_edge_list(n, edges) for n, edges in bench.random_edge_lists(30)]
+    assert {g.n for g in graphs} == set(range(9, 15))
+    assert {is_connected(g) for g in graphs} == {True, False}
+    for g in graphs:
+        for kind, spec in (("toll", toll()), ("weaklyToll", weakly_toll())):
+            table = interval_table(g, spec)
+            for u in range(g.n):
+                for v in range(g.n):
+                    want = bounded_walk_hits(g, kind, u, v) | bit(u) | bit(v)
+                    assert table[u * g.n + v] == want, (g, kind, u, v)
 
 
 def test_default_walk_bound():

@@ -24,27 +24,23 @@ per kind.  Standard library only.
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
 
 CHILD = r"""
-import hashlib, json, random, sys, time
+import hashlib, json, sys, time
 from convexgeom import walks
 from convexgeom.enumeration import connected_graphs_upto
 from convexgeom.graphs import Graph
+from bench_tables import random_edge_lists
 
 KINDS = ("monophonic", "m3", "l1", "l2", "l3", "l4", "l5", "strong",
          "trianglePath", "geodetic", "toll", "weaklyToll", "p3")
 max_n, count = int(sys.argv[1]), int(sys.argv[2])
 graphs = connected_graphs_upto(max_n)
-rng = random.Random(2026)
-sample = []
-for i in range(count):
-    n = 9 + i % 6
-    p = rng.uniform(0.15, 0.6)
-    sample.append(Graph.from_edge_list(
-        n, [(a, b) for a in range(n) for b in range(a) if rng.random() < p]))
+sample = [Graph.from_edge_list(n, edges) for n, edges in random_edge_lists(count)]
 
 
 def spec_of(kind):
@@ -76,9 +72,24 @@ print(json.dumps(out))
 """
 
 
+def random_edge_lists(count):
+    """(n, edges) of count seeded random graphs: orders 9..14 in turn, each
+    with an edge probability drawn from [0.15, 0.6], so some are
+    disconnected.  tests/test_walks.py checks the toll tables on them."""
+    rng = random.Random(2026)
+    out = []
+    for i in range(count):
+        n = 9 + i % 6
+        p = rng.uniform(0.15, 0.6)
+        out.append((n, [(a, b) for a in range(n) for b in range(a) if rng.random() < p]))
+    return out
+
+
 def run_once(src, max_n, count):
-    """The record of one cold run on the tree at src."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    """The record of one cold run on the tree at src; the child imports
+    random_edge_lists from this file."""
+    path = os.pathsep.join([os.path.abspath(src), os.path.dirname(os.path.abspath(__file__))])
+    env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", CHILD, str(max_n), str(count)],
                          env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
